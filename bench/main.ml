@@ -257,7 +257,7 @@ let run_ablation_skyline () =
   in
   let t =
     Tabulate.create ~title:"c-skyline implementations, seconds (result size)"
-      ~columns:[ "dataset"; "SFS"; "sweep-2D"; "R-tree"; "BNL (n<=3000)" ]
+      ~columns:[ "dataset"; "SFS"; "sweep-2D"; "Strtree"; "BNL (n<=3000)" ]
   in
   List.iter
     (fun (label, data) ->
@@ -272,13 +272,13 @@ let run_ablation_skyline () =
           time (fun () -> Skyline.c_skyline_sweep_2d ~c data)
         else "n/a"
       in
-      let rtree = time (fun () -> Skyline.c_skyline_rtree ~c data) in
+      let store = time (fun () -> Skyline.c_skyline_store ~c data) in
       let bnl =
         if Dataset.size data <= 3000 then
           time (fun () -> Skyline.c_skyline_bnl ~c data)
         else "skipped"
       in
-      Tabulate.add_row t [ label; sfs; sweep; rtree; bnl ])
+      Tabulate.add_row t [ label; sfs; sweep; store; bnl ])
     cases;
   Tabulate.print t
 

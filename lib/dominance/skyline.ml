@@ -12,8 +12,6 @@ let c_path_sweep = Counter.make "skyline.path_sweep"
 
 let c_path_sfs = Counter.make "skyline.path_sfs"
 
-let c_path_rtree = Counter.make "skyline.path_rtree"
-
 let c_path_store = Counter.make "skyline.path_store"
 
 let c_skyline_bnl ~c data =
@@ -99,42 +97,6 @@ let c_skyline_sweep_2d ~c data =
     Dataset.filter data (fun p -> not (dominated (Tuple.values p)))
   end
 
-let c_skyline_rtree ~c data =
-  if c < 1. then invalid_arg "Skyline.c_skyline_rtree: c must be >= 1";
-  let n = Dataset.size data in
-  if n = 0 then data
-  else begin
-    let d = Dataset.dim data in
-    (* Upper corner of the data, for the dominance query boxes. *)
-    let upper = Vec.make d neg_infinity in
-    let entries = ref [] in
-    for i = n - 1 downto 0 do
-      let p = Dataset.get data i in
-      let v = Tuple.values p in
-      for j = 0 to d - 1 do
-        if Vec.get v j > Vec.get upper j then Vec.set upper j (Vec.get v j)
-      done;
-      entries := (v, p) :: !entries
-    done;
-    let tree = Indq_rtree.Rtree.bulk_load_points ~dim:d !entries in
-    let dominated p =
-      let v = Tuple.values p in
-      let corner = Vec.map (fun x -> c *. x) v in
-      (* Outside the data envelope, nothing can c-dominate. *)
-      let escapes = ref false in
-      for i = 0 to d - 1 do
-        if Vec.get corner i > Vec.get upper i then escapes := true
-      done;
-      if !escapes then false
-      else begin
-        let query = Indq_rtree.Rect.above_corner corner ~upper in
-        Indq_rtree.Rtree.exists_overlapping tree query ~f:(fun _ q ->
-            Tuple.id q <> Tuple.id p && Dominance.c_dominates_tuple ~c q p)
-      end
-    in
-    Dataset.filter data (fun p -> not (dominated p))
-  end
-
 (* Fully columnar variant: a packed STR-tree over the dataset's flat store
    buffer answers each c-domination test as an early-exit box probe, and
    the result materializes through positional selection — no per-tuple
@@ -202,51 +164,26 @@ let c_skyline_store ~c data =
     Dataset.select_rows data positions
   end
 
-(* Dispatch thresholds, overridable for experiments: above [store] rows the
-   fully columnar {!c_skyline_store} runs; above [rtree] rows (default 512,
-   low enough that every realistic bench cell exercises the index) the
-   bulk-loaded R-tree variant runs; below, the SFS window pass.  All
-   variants return the same set in the same (original) order, so dispatch
-   changes never alter query outputs — only counters. *)
-let rtree_threshold = Atomic.make 512
-
-let store_threshold = Atomic.make 200_000
-
-let set_dispatch_thresholds ?rtree ?store () =
-  (match rtree with
-  | Some v ->
-    if v < 0 then invalid_arg "Skyline.set_dispatch_thresholds: negative rtree";
-    Atomic.set rtree_threshold v
-  | None -> ());
-  match store with
-  | Some v ->
-    if v < 0 then invalid_arg "Skyline.set_dispatch_thresholds: negative store";
-    Atomic.set store_threshold v
-  | None -> ()
-
-let dispatch_thresholds () = (Atomic.get rtree_threshold, Atomic.get store_threshold)
-
 (* Dispatch: the 2-D sweep is always best for d = 2; the SFS window pass
    wins while inputs are small, but on data whose c-skyline grows with n
-   (anti-correlated) it degenerates to O(n * |skyline|), so larger inputs
-   go to the bulk-loaded R-tree variant, and store-scale inputs to the
-   packed columnar index. *)
+   (anti-correlated) it degenerates to O(n * |skyline|), so inputs above
+   [sfs_max_rows] go to the packed columnar index.  Every variant returns
+   the same set in the same (original) order, so dispatch never alters
+   query outputs — only which counter moves. *)
+let sfs_max_rows = 512
+
 let c_skyline ~c data =
   if Dataset.size data > 0 && Dataset.dim data = 2 then begin
     Counter.incr c_path_sweep;
     c_skyline_sweep_2d ~c data
   end
-  else if Dataset.size data > Atomic.get store_threshold then begin
-    Counter.incr c_path_store;
-    c_skyline_store ~c data
-  end
-  else if Dataset.size data > Atomic.get rtree_threshold then begin
-    Counter.incr c_path_rtree;
-    c_skyline_rtree ~c data
-  end
-  else begin
+  else if Dataset.size data <= sfs_max_rows then begin
     Counter.incr c_path_sfs;
     c_skyline_sfs ~c data
+  end
+  else begin
+    Counter.incr c_path_store;
+    c_skyline_store ~c data
   end
 
 let skyline data = c_skyline ~c:1. data

@@ -2,16 +2,22 @@
 
     The c-skyline (Definition 5) keeps every tuple not c-dominated by
     another; with [c = 1 + eps] it is exactly the pre-processing filter of
-    Observation 3 (Line 1 of Algorithms 1–3).  Two algorithms are provided:
-    block-nested-loops (the obviously correct baseline, used as ground truth
-    in tests) and sort-filter-skyline (sort by coordinate sum, single
-    window pass), which is the default. *)
+    Observation 3 (Line 1 of Algorithms 1–3).  Four algorithms are
+    provided: block-nested-loops (the obviously correct baseline, used as
+    ground truth in tests), sort-filter-skyline (sort by coordinate sum,
+    single window pass), a 2-D plane sweep, and a packed-index variant over
+    the dataset's flat store.  {!c_skyline} dispatches among the last
+    three. *)
 
 val skyline : Indq_dataset.Dataset.t -> Indq_dataset.Dataset.t
-(** The classic skyline ([c = 1]), via {!c_skyline_sfs}. *)
+(** The classic skyline ([c = 1]), via {!c_skyline}. *)
 
 val c_skyline : c:float -> Indq_dataset.Dataset.t -> Indq_dataset.Dataset.t
-(** Default algorithm (SFS).  Requires [c >= 1]. *)
+(** Fixed dispatch: 2-D inputs take {!c_skyline_sweep_2d}, inputs of at
+    most 512 rows {!c_skyline_sfs}, everything larger {!c_skyline_store}.
+    Each call bumps one of [skyline.path_sweep] / [skyline.path_sfs] /
+    [skyline.path_store]; the choice never changes the result.  Requires
+    [c >= 1]. *)
 
 val c_skyline_bnl : c:float -> Indq_dataset.Dataset.t -> Indq_dataset.Dataset.t
 (** Block-nested-loops: compares every pair.  O(n² d) — small inputs and
@@ -30,14 +36,6 @@ val c_skyline_sweep_2d :
     O(log n).  Raises [Invalid_argument] unless the data is 2-dimensional.
     {!c_skyline} dispatches here automatically for 2-D inputs. *)
 
-val c_skyline_rtree :
-  c:float -> Indq_dataset.Dataset.t -> Indq_dataset.Dataset.t
-(** Index-assisted variant (Section V-A mentions R-tree pruning): every
-    c-domination test becomes an early-exit rectangle query
-    [\[c * p, upper\]] against an STR-bulk-loaded R-tree of the data.
-    Best when the c-skyline is small relative to [n]; compared against the
-    other variants in the ablation bench. *)
-
 val c_skyline_store :
   c:float -> Indq_dataset.Dataset.t -> Indq_dataset.Dataset.t
 (** Fully columnar variant: a packed {!Indq_rtree.Strtree} over the
@@ -46,16 +44,6 @@ val c_skyline_store :
     per-tuple heap objects anywhere on the hot path — the variant that
     scales to 10^7 rows.  Same result set and order as every other
     variant. *)
-
-val set_dispatch_thresholds : ?rtree:int -> ?store:int -> unit -> unit
-(** Override the {!c_skyline} dispatch: inputs larger than [store]
-    (default 200_000) use {!c_skyline_store}; larger than [rtree]
-    (default 512) use {!c_skyline_rtree}; 2-D inputs always use the plane
-    sweep.  Dispatch never changes results — only which counters move.
-    Set once at startup (before bench worker domains spawn). *)
-
-val dispatch_thresholds : unit -> int * int
-(** Current [(rtree, store)] thresholds. *)
 
 val prune_eps_dominated : eps:float -> Indq_dataset.Dataset.t -> Indq_dataset.Dataset.t
 (** Observation 3 filter: [c_skyline ~c:(1 +. eps)]. *)

@@ -3,12 +3,7 @@
    array, each level's bounding boxes are two flat Float64 buffers, and
    children are addressed implicitly (node [j]'s children are nodes
    [j*fanout ..] of the level below).  A 10^7-point tree is a handful of
-   allocations, and builds in a few sorting passes.
-
-   Counter names are shared with the pointer-based {!Rtree}
-   ([Counter.make]/[Histogram.make] are idempotent per name), so bench
-   cells see one [rtree.nodes_visited] stream regardless of which index
-   served the query. *)
+   allocations, and builds in a few sorting passes. *)
 
 module Counter = Indq_obs.Counter
 module Histogram = Indq_obs.Histogram

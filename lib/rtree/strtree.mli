@@ -1,17 +1,15 @@
 (** A packed, static STR-tree over the rows of a flat columnar buffer.
 
-    Where {!Rtree} keeps pointer-linked nodes (right for incremental
-    insertion at moderate sizes), this index is built once, bottom-up, from
-    a {!Indq_linalg.Vec.t} holding [n] rows of [dim] coordinates — the
-    buffer a columnar store exposes.  Its entire structure is a row
-    permutation (one int array) plus two flat Float64 bound buffers per
-    level with implicit [fanout]-ary child addressing, so a 10^7-point tree
-    is a handful of allocations and never touches a per-node heap object.
+    The index is built once, bottom-up, from a {!Indq_linalg.Vec.t}
+    holding [n] rows of [dim] coordinates — the buffer a columnar store
+    exposes.  Its entire structure is a row permutation (one int array)
+    plus two flat Float64 bound buffers per level with implicit
+    [fanout]-ary child addressing, so a 10^7-point tree is a handful of
+    allocations and never touches a per-node heap object.
 
-    Queries report into the same observability stream as {!Rtree}: every
-    node test increments [rtree.nodes_visited]; building increments
-    [rtree.bulk_nodes] per node and observes leaf occupancy in the
-    [rtree.leaf_fill] histogram. *)
+    Every node test during a query increments [rtree.nodes_visited];
+    building increments [rtree.bulk_nodes] per node and observes leaf
+    occupancy in the [rtree.leaf_fill] histogram. *)
 
 type t
 

@@ -141,15 +141,6 @@ let prop_c_skyline_monotone_in_c =
          s1 ⊆ s2. *)
       List.for_all (fun id -> List.mem id s2) s1)
 
-let prop_rtree_equals_bnl =
-  QCheck2.Test.make ~count:60 ~name:"R-tree c-skyline = BNL"
-    QCheck2.Gen.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let data = random_dataset rng in
-      let c = 1. +. Rng.float rng 0.3 in
-      ids (Skyline.c_skyline_rtree ~c data) = ids (Skyline.c_skyline_bnl ~c data))
-
 (* --- persisted skyline artifacts --- *)
 
 module Artifact = Indq_dominance.Artifact
@@ -222,6 +213,43 @@ let prop_store_equals_bnl =
       let c = 1. +. Rng.float rng 0.3 in
       ids (Skyline.c_skyline_store ~c data) = ids (Skyline.c_skyline_bnl ~c data))
 
+(* The generic entry point against the oracle, with n drawn on both sides
+   of the 512-row SFS/Strtree threshold (half the cases within 16 rows of
+   it), d from 1 to 5 and all three generators.  Also pins which dispatch
+   counter moved: exactly one bump, on the path the shape selects. *)
+let prop_dispatch_equals_bnl =
+  QCheck2.Test.make ~count:40 ~name:"c_skyline dispatch = BNL"
+    QCheck2.Gen.(int_bound 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n =
+        if Rng.bool rng then 497 + Rng.int rng 32 else 1 + Rng.int rng 1200
+      in
+      let d = 1 + Rng.int rng 5 in
+      let data =
+        match Rng.int rng 3 with
+        | 0 -> Generator.independent rng ~n ~d
+        | 1 -> Generator.correlated rng ~n ~d
+        | _ -> Generator.anti_correlated rng ~n ~d
+      in
+      let c = 1. +. Rng.float rng 0.3 in
+      let paths = [ "sweep"; "sfs"; "store" ] in
+      let counts () =
+        List.map (fun p -> Indq_obs.Counter.get ("skyline.path_" ^ p)) paths
+      in
+      (* Unsorted: every variant must also keep the original row order. *)
+      let ids data = List.map Tuple.id (Dataset.to_list data) in
+      let before = counts () in
+      let got = ids (Skyline.c_skyline ~c data) in
+      let moved = List.map2 (fun a b -> b -. a) before (counts ()) in
+      let expected_path =
+        if d = 2 then "sweep" else if n <= 512 then "sfs" else "store"
+      in
+      got = ids (Skyline.c_skyline_bnl ~c data)
+      && List.for_all2
+           (fun p m -> m = if p = expected_path then 1. else 0.)
+           paths moved)
+
 let prop_sweep_2d_equals_bnl =
   QCheck2.Test.make ~count:120 ~name:"2D sweep c-skyline = BNL"
     QCheck2.Gen.(int_bound 100000)
@@ -237,25 +265,27 @@ let prop_sweep_2d_equals_bnl =
       ids (Skyline.c_skyline_sweep_2d ~c data) = ids (Skyline.c_skyline_bnl ~c data))
 
 let test_rtree_path_counts_nodes () =
-  (* BENCH_003.json showed rtree.nodes_visited = 0: the c_skyline
-     dispatcher only takes the R-tree path above 50_000 tuples (see
-     skyline.ml), and the -quick bench datasets are all smaller, so the
-     counter is reachable-but-idle there.  Exercise the indexed path
-     directly and pin that it really does account its node traffic. *)
+  (* c_skyline sends inputs above 512 rows (d <> 2) to the packed
+     Strtree; pin that such a call really takes that path and accounts
+     its node traffic, so a zero rtree.nodes_visited in a report means no
+     input crossed the threshold, not a broken wire. *)
   let rng = Rng.create 515 in
-  let data = random_dataset rng in
-  let before = Indq_obs.Counter.get "rtree.nodes_visited" in
-  let s = ids (Skyline.c_skyline_rtree ~c:1.05 data) in
+  let data = Generator.anti_correlated rng ~n:600 ~d:3 in
+  let nodes () = Indq_obs.Counter.get "rtree.nodes_visited" in
+  let store () = Indq_obs.Counter.get "skyline.path_store" in
+  let before = nodes () and store_before = store () in
+  let s = ids (Skyline.c_skyline ~c:1.05 data) in
   Alcotest.(check bool) "skyline nonempty" true (s <> []);
+  Alcotest.(check (float 0.)) "dispatched to the store path"
+    (store_before +. 1.) (store ());
   Alcotest.(check bool) "rtree.nodes_visited incremented" true
-    (Indq_obs.Counter.get "rtree.nodes_visited" > before);
-  (* The generic entry point leaves the counter untouched below the
-     dispatch threshold — the observed-zero is by design, not a broken
-     wire. *)
-  let mid = Indq_obs.Counter.get "rtree.nodes_visited" in
-  ignore (Skyline.c_skyline ~c:1.05 data);
-  Alcotest.(check (float 0.)) "small inputs skip the index" mid
-    (Indq_obs.Counter.get "rtree.nodes_visited")
+    (nodes () > before);
+  (* At or below the threshold the SFS window pass runs and the index
+     counter stays untouched — an observed zero there is by design. *)
+  let small = Dataset.select_rows data (Array.init 512 Fun.id) in
+  let mid = nodes () in
+  ignore (Skyline.c_skyline ~c:1.05 small);
+  Alcotest.(check (float 0.)) "small inputs skip the index" mid (nodes ())
 
 let test_sweep_2d_dimension_guard () =
   let data = Dataset.create [| [| 1.; 2.; 3. |] |] in
@@ -309,7 +339,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_sfs_equals_bnl;
           QCheck_alcotest.to_alcotest prop_sweep_2d_equals_bnl;
-          QCheck_alcotest.to_alcotest prop_rtree_equals_bnl;
+          QCheck_alcotest.to_alcotest prop_dispatch_equals_bnl;
           QCheck_alcotest.to_alcotest prop_store_equals_bnl;
           QCheck_alcotest.to_alcotest prop_skyline_members_undominated;
           QCheck_alcotest.to_alcotest prop_c_skyline_monotone_in_c;

@@ -1,187 +1,11 @@
-(* Tests for the R-tree spatial index, including qcheck equivalence with
-   brute-force search. *)
+(* Tests for the packed STR-tree spatial index, including qcheck
+   equivalence with brute-force box scans. *)
 
-module Rect = Indq_rtree.Rect
-module Rtree = Indq_rtree.Rtree
 module Rng = Indq_util.Rng
 module Vec = Indq_linalg.Vec
+module Strtree = Indq_rtree.Strtree
 
 let vec = Vec.of_array
-
-let test_rect_make_guards () =
-  Alcotest.check_raises "lo > hi" (Invalid_argument "Rect.make: lo > hi")
-    (fun () -> ignore (Rect.make ~lo:(vec [| 1. |]) ~hi:(vec [| 0. |])));
-  Alcotest.check_raises "ragged" (Invalid_argument "Rect.make: bad corners")
-    (fun () -> ignore (Rect.make ~lo:(vec [| 0. |]) ~hi:(vec [| 1.; 2. |])))
-
-let test_rect_intersects () =
-  let a = Rect.make ~lo:(vec [| 0.; 0. |]) ~hi:(vec [| 1.; 1. |]) in
-  let b = Rect.make ~lo:(vec [| 0.5; 0.5 |]) ~hi:(vec [| 2.; 2. |]) in
-  let c = Rect.make ~lo:(vec [| 1.5; 1.5 |]) ~hi:(vec [| 2.; 2. |]) in
-  Alcotest.(check bool) "overlap" true (Rect.intersects a b);
-  Alcotest.(check bool) "touch counts" true
-    (Rect.intersects a (Rect.make ~lo:(vec [| 1.; 0. |]) ~hi:(vec [| 2.; 1. |])));
-  Alcotest.(check bool) "disjoint" false (Rect.intersects a c)
-
-let test_rect_contains () =
-  let r = Rect.make ~lo:(vec [| 0.; 0. |]) ~hi:(vec [| 1.; 1. |]) in
-  Alcotest.(check bool) "inside" true (Rect.contains_point r (vec [| 0.5; 0.5 |]));
-  Alcotest.(check bool) "boundary" true (Rect.contains_point r (vec [| 1.; 0. |]));
-  Alcotest.(check bool) "outside" false (Rect.contains_point r (vec [| 1.1; 0.5 |]));
-  Alcotest.(check bool) "rect in rect" true
-    (Rect.contains_rect ~outer:r
-       ~inner:(Rect.make ~lo:(vec [| 0.2; 0.2 |]) ~hi:(vec [| 0.8; 0.8 |])))
-
-let test_rect_union_area () =
-  let a = Rect.make ~lo:(vec [| 0.; 0. |]) ~hi:(vec [| 1.; 1. |]) in
-  let b = Rect.make ~lo:(vec [| 2.; 2. |]) ~hi:(vec [| 3.; 4. |]) in
-  let u = Rect.union a b in
-  Alcotest.(check (float 1e-9)) "area a" 1. (Rect.area a);
-  Alcotest.(check (float 1e-9)) "area b" 2. (Rect.area b);
-  Alcotest.(check (float 1e-9)) "area union" 12. (Rect.area u);
-  Alcotest.(check (float 1e-9)) "enlargement" 11. (Rect.enlargement a b);
-  Alcotest.(check (float 1e-9)) "margin" 7. (Rect.margin u)
-
-let test_rect_above_corner () =
-  let r = Rect.above_corner (vec [| 0.3; 0.6 |]) ~upper:(vec [| 1.; 1. |]) in
-  Alcotest.(check bool) "dominator inside" true (Rect.contains_point r (vec [| 0.5; 0.8 |]));
-  Alcotest.(check bool) "non-dominator outside" false
-    (Rect.contains_point r (vec [| 0.2; 0.9 |]))
-
-let test_insert_search_small () =
-  let t = Rtree.create ~dim:2 () in
-  Rtree.insert_point t (vec [| 0.1; 0.1 |]) "a";
-  Rtree.insert_point t (vec [| 0.9; 0.9 |]) "b";
-  Rtree.insert_point t (vec [| 0.5; 0.5 |]) "c";
-  Alcotest.(check int) "size" 3 (Rtree.size t);
-  let hits =
-    Rtree.search t (Rect.make ~lo:(vec [| 0.4; 0.4 |]) ~hi:(vec [| 1.; 1. |]))
-  in
-  let sorted = List.sort compare hits in
-  Alcotest.(check (list string)) "hits" [ "b"; "c" ] sorted
-
-let test_empty_tree () =
-  let t : int Rtree.t = Rtree.create ~dim:3 () in
-  Alcotest.(check int) "size" 0 (Rtree.size t);
-  Alcotest.(check int) "depth" 0 (Rtree.depth t);
-  Alcotest.(check (list int)) "search" []
-    (Rtree.search t (Rect.make ~lo:(vec [| 0.; 0.; 0. |]) ~hi:(vec [| 1.; 1.; 1. |])));
-  Alcotest.(check bool) "invariants" true (Rtree.check_invariants t)
-
-let test_split_grows_depth () =
-  let t = Rtree.create ~max_entries:4 ~dim:2 () in
-  let rng = Rng.create 5 in
-  for i = 1 to 100 do
-    Rtree.insert_point t (vec [| Rng.uniform rng; Rng.uniform rng |]) i
-  done;
-  Alcotest.(check int) "size" 100 (Rtree.size t);
-  Alcotest.(check bool) "deeper than a leaf" true (Rtree.depth t > 1);
-  Alcotest.(check bool) "invariants" true (Rtree.check_invariants t)
-
-let test_exists_overlapping () =
-  let t = Rtree.create ~dim:2 () in
-  for i = 0 to 9 do
-    Rtree.insert_point t (vec [| float_of_int i /. 10.; float_of_int i /. 10. |]) i
-  done;
-  let q = Rect.make ~lo:(vec [| 0.75; 0.75 |]) ~hi:(vec [| 1.; 1. |]) in
-  Alcotest.(check bool) "found" true (Rtree.exists_overlapping t q ~f:(fun _ _ -> true));
-  Alcotest.(check bool) "predicate filters" false
-    (Rtree.exists_overlapping t q ~f:(fun _ v -> v > 100));
-  let q2 = Rect.make ~lo:(vec [| 0.91; 0.0 |]) ~hi:(vec [| 1.; 0.05 |]) in
-  Alcotest.(check bool) "empty zone" false
-    (Rtree.exists_overlapping t q2 ~f:(fun _ _ -> true))
-
-let test_iter_visits_all () =
-  let t = Rtree.create ~max_entries:4 ~dim:1 () in
-  for i = 1 to 50 do
-    Rtree.insert_point t (vec [| float_of_int i |]) i
-  done;
-  let total = ref 0 in
-  Rtree.iter t (fun _ v -> total := !total + v);
-  Alcotest.(check int) "sum" (50 * 51 / 2) !total
-
-let test_dimension_guard () =
-  let t : unit Rtree.t = Rtree.create ~dim:2 () in
-  Alcotest.check_raises "bad dim" (Invalid_argument "Rtree.insert: dimension mismatch")
-    (fun () -> Rtree.insert t (Rect.of_point (vec [| 1. |])) ())
-
-(* Property: search results match brute force on random point sets. *)
-let prop_search_matches_bruteforce =
-  QCheck2.Test.make ~count:60 ~name:"rtree search = brute force"
-    QCheck2.Gen.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let d = 1 + Rng.int rng 4 in
-      let n = 1 + Rng.int rng 300 in
-      let points =
-        Array.init n (fun i -> (Vec.init d (fun _ -> Rng.uniform rng), i))
-      in
-      let t = Rtree.of_points ~max_entries:4 ~dim:d (Array.to_list points) in
-      let ok = ref (Rtree.check_invariants t) in
-      for _ = 1 to 10 do
-        let a = Vec.init d (fun _ -> Rng.uniform rng) in
-        let b = Vec.init d (fun _ -> Rng.uniform rng) in
-        let lo = Vec.init d (fun i -> Float.min (Vec.get a i) (Vec.get b i)) in
-        let hi = Vec.init d (fun i -> Float.max (Vec.get a i) (Vec.get b i)) in
-        let q = Rect.make ~lo ~hi in
-        let expected =
-          Array.to_list points
-          |> List.filter (fun (p, _) -> Rect.contains_point q p)
-          |> List.map snd |> List.sort compare
-        in
-        let got = Rtree.search t q |> List.sort compare in
-        if expected <> got then ok := false
-      done;
-      !ok)
-
-let prop_size_matches_inserts =
-  QCheck2.Test.make ~count:40 ~name:"size and iter agree with inserts"
-    QCheck2.Gen.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = Rng.int rng 500 in
-      let t = Rtree.create ~max_entries:6 ~dim:2 () in
-      for i = 1 to n do
-        Rtree.insert_point t (vec [| Rng.uniform rng; Rng.uniform rng |]) i
-      done;
-      let visited = ref 0 in
-      Rtree.iter t (fun _ _ -> incr visited);
-      Rtree.size t = n && !visited = n && Rtree.check_invariants t)
-
-(* Property: STR bulk loading answers every search exactly like an
-   insert-built tree — same entries, same boxes, different construction. *)
-let prop_bulk_load_matches_inserts =
-  QCheck2.Test.make ~count:60 ~name:"bulk load = insert-built queries"
-    QCheck2.Gen.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let d = 1 + Rng.int rng 4 in
-      let n = 1 + Rng.int rng 400 in
-      let points =
-        List.init n (fun i -> (Vec.init d (fun _ -> Rng.uniform rng), i))
-      in
-      let bulk = Rtree.bulk_load_points ~max_entries:4 ~dim:d points in
-      let incr_t = Rtree.of_points ~max_entries:4 ~dim:d points in
-      let ok =
-        ref
-          (Rtree.check_invariants bulk
-          && Rtree.size bulk = n
-          && Rtree.size incr_t = n)
-      in
-      for _ = 1 to 10 do
-        let a = Vec.init d (fun _ -> Rng.uniform rng) in
-        let b = Vec.init d (fun _ -> Rng.uniform rng) in
-        let lo = Vec.init d (fun i -> Float.min (Vec.get a i) (Vec.get b i)) in
-        let hi = Vec.init d (fun i -> Float.max (Vec.get a i) (Vec.get b i)) in
-        let q = Rect.make ~lo ~hi in
-        let sorted t = Rtree.search t q |> List.sort compare in
-        if sorted bulk <> sorted incr_t then ok := false
-      done;
-      !ok)
-
-(* --- packed STR-tree over a flat buffer --- *)
-
-module Strtree = Indq_rtree.Strtree
 
 let flat_of_points d points =
   Vec.init
@@ -259,23 +83,6 @@ let prop_strtree_matches_bruteforce =
 let () =
   Alcotest.run "rtree"
     [
-      ( "rect",
-        [
-          Alcotest.test_case "make guards" `Quick test_rect_make_guards;
-          Alcotest.test_case "intersects" `Quick test_rect_intersects;
-          Alcotest.test_case "contains" `Quick test_rect_contains;
-          Alcotest.test_case "union/area" `Quick test_rect_union_area;
-          Alcotest.test_case "above corner" `Quick test_rect_above_corner;
-        ] );
-      ( "rtree",
-        [
-          Alcotest.test_case "insert/search" `Quick test_insert_search_small;
-          Alcotest.test_case "empty tree" `Quick test_empty_tree;
-          Alcotest.test_case "split grows depth" `Quick test_split_grows_depth;
-          Alcotest.test_case "exists overlapping" `Quick test_exists_overlapping;
-          Alcotest.test_case "iter visits all" `Quick test_iter_visits_all;
-          Alcotest.test_case "dimension guard" `Quick test_dimension_guard;
-        ] );
       ( "strtree",
         [
           Alcotest.test_case "empty" `Quick test_strtree_empty;
@@ -284,9 +91,6 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_search_matches_bruteforce;
-          QCheck_alcotest.to_alcotest prop_size_matches_inserts;
-          QCheck_alcotest.to_alcotest prop_bulk_load_matches_inserts;
           QCheck_alcotest.to_alcotest prop_strtree_matches_bruteforce;
         ] );
     ]

@@ -24,14 +24,13 @@ let default_critical =
   [
     "lp.iterations";
     "lp.dual_pivots";
-    (* The columnar-tier wins: R-tree traversal volume and the skyline
-       path dispatch (sweep / SFS / rtree / store).  Critical for the
+    (* The columnar-tier wins: Strtree traversal volume and the skyline
+       path dispatch (sweep / SFS / store).  Critical for the
        same reason as the LP pair — losing one from a report means the
        optimization it measures silently stopped being exercised. *)
     "rtree.nodes_visited";
     "skyline.path_sweep";
     "skyline.path_sfs";
-    "skyline.path_rtree";
     "skyline.path_store";
     (* The dynamic half of the ANA002 allocation-freedom story: minor
        words allocated inside the [@indq.alloc_free] flat-sweep kernel.
