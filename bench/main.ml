@@ -29,7 +29,6 @@ let lp_micro = ref false
 let serve_bench = ref false
 let jobs = ref 1
 let with_times = ref true
-let cold = ref false
 let json_file = ref ""
 let cache_dir = ref ""
 let selected : string list ref = ref []
@@ -58,7 +57,7 @@ let record sweep =
    pool never appears in the printed output. *)
 let pool : Pool.t option ref = ref None
 
-let usage = "main.exe [-quick] [-metrics] [-j N] [-no-times] [-cold] [-json FILE] [-scale S] [-cache DIR] [-utilities K] [-max-n N] [-seed S] [-faults] [-lp] [-serve] [experiments...]"
+let usage = "main.exe [-quick] [-metrics] [-j N] [-no-times] [-json FILE] [-scale S] [-cache DIR] [-utilities K] [-max-n N] [-seed S] [-faults] [-lp] [-serve] [experiments...]"
 
 let spec =
   [
@@ -73,9 +72,6 @@ let spec =
     ("-j", Arg.Set_int jobs, "worker domains for sweep trials (default 1 = sequential)");
     ("-no-times", Arg.Clear with_times,
      "omit every wall-clock figure so output is identical across -j values");
-    ("-cold", Arg.Set cold,
-     "disable the incremental geometry engine (re-solve every LP from \
-      scratch); results must be identical, only counters and time change");
     ("-json", Arg.Set_string json_file,
      "also write the recorded sweeps as a machine-readable JSON report");
     ("-cache", Arg.Set_string cache_dir,
@@ -86,8 +82,8 @@ let spec =
      "run the deterministic fault-injection matrix (one armed site at a \
       time, plan derived from -seed) instead of the default experiments");
     ("-lp", Arg.Set lp_micro,
-     "run the LP micro-benchmark (flat-kernel throughput, dual-simplex \
-      vs two-phase latency) instead of the default experiments");
+     "run the LP micro-benchmark (flat-kernel throughput, polytope-fork \
+      vs from-scratch latency) instead of the default experiments");
     ("-serve", Arg.Set serve_bench,
      "run the session-server load benchmark (socket load generation plus \
       the eviction-transparency check) instead of the default experiments");
@@ -447,7 +443,7 @@ let drive_dataset_load () =
   Printf.sprintf "typed Load_error x%d, %d clean loads" !errors !ok
 
 (* A small non-degenerate LP; the armed site decides whether a given solve
-   runs clean, recovers via the Bland fallback, or fails typed. *)
+   runs clean, recovers via the Bland continuation, or fails typed. *)
 let drive_lp site =
   let constraints =
     [
@@ -468,7 +464,7 @@ let drive_lp site =
   done;
   match site with
   | `Cap ->
-    Printf.sprintf "Bland fallback recovered x%d, %d optimal, %d failed"
+    Printf.sprintf "Bland continuation recovered x%d, %d optimal, %d failed"
       !retried !optimal !failed
   | `Nan ->
     Printf.sprintf "typed Failed (Numerical) x%d, %d optimal" !failed !optimal
@@ -663,10 +659,12 @@ let run_faults () =
     Fault.site_names;
   Tabulate.print t
 
-(* --- LP micro-benchmark (-lp): flat-kernel throughput and the dual-simplex
-   vs two-phase latency split.  The pivot-count distributions and the
-   agreement audit are deterministic in -seed; every wall-clock figure is
-   gated behind -no-times like the rest of the harness. *)
+(* --- LP micro-benchmark (-lp): flat-kernel throughput and the latency of
+   a value query answered by forking a region's frozen tableau vs the
+   from-scratch [Lp.solve] rebuild over the same constraints.  The
+   pivot-count distribution and the agreement audit are deterministic in
+   -seed; every wall-clock figure is gated behind -no-times like the rest
+   of the harness. *)
 
 module Mat = Indq_linalg.Mat
 module Histogram = Indq_obs.Histogram
@@ -675,7 +673,7 @@ module Halfspace = Indq_geom.Halfspace
 
 let h_lp_dual = Histogram.make ~unit_:Seconds "bench.lp_dual_seconds"
 
-let h_lp_two_phase = Histogram.make ~unit_:Seconds "bench.lp_two_phase_seconds"
+let h_lp_rebuild = Histogram.make ~unit_:Seconds "bench.lp_rebuild_seconds"
 
 let run_lp_micro () =
   section (Printf.sprintf "lp micro-benchmark (seed=%d)" !seed);
@@ -739,9 +737,10 @@ let run_lp_micro () =
         [ string_of_int n; gated dot; gated axpy; gated pivot ])
     [ 16; 128; 1024 ];
   Tabulate.print kernels;
-  (* Dual vs two-phase: random shrinking-region families.  The dual path is
+  (* Fork vs rebuild: random shrinking-region families.  The dual path is
      the audited polytope wrapper (fork the frozen tableau, re-optimize);
-     the two-phase path solves the same constraint list from scratch. *)
+     the rebuild solves the same constraint list from scratch with
+     [Lp.solve]. *)
   let rng = Rng.create !seed in
   let families = 60 in
   let agreements = ref 0 and queries = ref 0 and max_gap = ref 0. in
@@ -760,13 +759,13 @@ let run_lp_micro () =
             if Polytope.is_empty !r then None else Polytope.maximize !r objective)
       in
       Histogram.observe h_lp_dual dual_secs;
-      let cold, cold_secs =
+      let rebuilt, rebuild_secs =
         Timer.time (fun () ->
             Lp.solve ~n:d ~objective `Maximize (Polytope.to_lp_constraints !r))
       in
-      Histogram.observe h_lp_two_phase cold_secs;
+      Histogram.observe h_lp_rebuild rebuild_secs;
       incr queries;
-      match (dual, cold) with
+      match (dual, rebuilt) with
       | None, Lp.Infeasible -> incr agreements
       | Some (v, _), Lp.Optimal s ->
         max_gap := Float.max !max_gap (Float.abs (v -. s.Lp.objective));
@@ -795,7 +794,7 @@ let run_lp_micro () =
         gated (ms (Histogram.p90 s)); gated (ms (Histogram.p99 s)) ]
   in
   latency_row "dual (polytope fork)" h_lp_dual;
-  latency_row "two-phase (cold)" h_lp_two_phase;
+  latency_row "from-scratch (Lp.solve)" h_lp_rebuild;
   Tabulate.print latency;
   let pivots =
     Tabulate.create ~title:"pivot work (deterministic)"
@@ -815,13 +814,10 @@ let run_lp_micro () =
         Printf.sprintf "%g" (Histogram.p99 s) ]
   in
   pivots_row "lp.pivots_per_reopt";
-  pivots_row "lp.pivots_per_solve";
   Tabulate.print pivots;
-  Printf.printf
-    "counters: lp.dual_reopt=%g lp.dual_pivots=%g lp.solves=%g lp.iterations=%g\n"
-    (counter "lp.dual_reopt") (counter "lp.dual_pivots") (counter "lp.solves")
-    (counter "lp.iterations");
-  Printf.printf "agreement: %d/%d dual vs two-phase (max |delta| = %.3g)\n\n"
+  Printf.printf "counters: lp.dual_reopt=%g lp.dual_pivots=%g lp.solves=%g\n"
+    (counter "lp.dual_reopt") (counter "lp.dual_pivots") (counter "lp.solves");
+  Printf.printf "agreement: %d/%d fork vs from-scratch (max |delta| = %.3g)\n\n"
     !agreements !queries !max_gap
 
 (* --- Serve bench (-serve): the crash-tolerant session server under load.
@@ -1195,10 +1191,8 @@ let () =
     | [] | [ "all" ] -> List.map fst all_experiments
     | names -> names
   in
-  if !cold then Indq_geom.Polytope.set_incremental false;
-  (* The header deliberately omits -j and -cold: output must be identical
-     across -j values and across incremental/cold (the CI smoke jobs diff
-     those pairs under -no-times). *)
+  (* The header deliberately omits -j: output must be identical across -j
+     values (the CI smoke job diffs -j 1 against -j 4 under -no-times). *)
   Printf.printf
     "indistinguishability-query benchmarks (seed=%d scale=%g utilities=%d max-n=%d)\n\n%!"
     !seed !scale !utilities !max_n;

@@ -30,7 +30,7 @@ type run_result = {
           what this run added to each of the executing domain's counters *)
   hists : (string * Indq_obs.Histogram.snap) list;
       (** per-run {!Indq_obs.Histogram} deltas (sorted by name), dropping
-          histograms this run never observed — e.g. [lp.pivots_per_solve]
+          histograms this run never observed — e.g. [lp.pivots_per_reopt]
           and, when spans are enabled, each span's duration distribution *)
 }
 

@@ -177,28 +177,25 @@ let anchor_pool ~anchors region data =
    it inside the shrunken region, and shrinking can only raise the
    minimum to that value). *)
 let floor_over_pool ?store poly pool =
-  let use_store = Polytope.incremental_enabled () in
   (* Complete-vertex floor: when the region's whole vertex set is cheaply
      known (the d = 2 interval endpoints, the d = 3 clipped polygon), an
      anchor's minimum is a dot-product min over it — no LP.  Verdict-grade
      like the rest of the cascade (the floor only feeds threshold
      tests). *)
   let vertices =
-    if use_store then
-      match Polytope.complete_vertices poly with Some vs -> vs | None -> []
-    else []
+    match Polytope.complete_vertices poly with Some vs -> vs | None -> []
   in
   List.fold_left
     (fun acc a ->
       let cached =
         match store with
-        | Some (s : Store.t) when use_store ->
+        | Some (s : Store.t) ->
           (match Hashtbl.find_opt s.floor_witnesses (Tuple.id a) with
           | Some (v, p) when point_in_cuts poly p ->
             Counter.incr c_store_hits;
             Some v
           | _ -> None)
-        | _ -> None
+        | None -> None
       in
       match cached with
       | Some v -> Float.max acc v
@@ -249,7 +246,6 @@ let region_prune ?(anchors = 4) ?store ~eps region data =
        with clear daylight, keeping the no-false-negative contract under
        float noise. *)
     let tol = 1e-7 in
-    let use_store = Polytope.incremental_enabled () in
     (* Witness points of the region: if some witness v has w . v >= 0,
        then max w . v >= 0 and the candidate is provably not prunable via
        that test — no LP needed.  With a complete vertex set (d = 2
@@ -260,9 +256,7 @@ let region_prune ?(anchors = 4) ?store ~eps region data =
        coordinate-extreme vertices and disproof-failures confirm by
        LP. *)
     let bounds, vertex_witnesses = Polytope.coordinate_profile poly in
-    let complete =
-      if use_store then Polytope.complete_vertices poly else None
-    in
+    let complete = Polytope.complete_vertices poly in
     let witnesses =
       match complete with
       | Some vs -> Region.center region :: vs
@@ -280,14 +274,12 @@ let region_prune ?(anchors = 4) ?store ~eps region data =
        behavior) and the LP dimensions use it.  Decisions are unchanged:
        the store only ever short-circuits tests whose outcome the witness
        scan reproduces. *)
-    let use_pair_store =
-      use_store && (Polytope.dim poly = 2 || not has_complete)
-    in
+    let use_pair_store = Polytope.dim poly = 2 || not has_complete in
     (* "Anchor a cannot prune candidate b", certified by a cached region
        point from an earlier round when possible. *)
     let stored_witness b_id a_id w =
       match store with
-      | Some (s : Store.t) when use_store ->
+      | Some (s : Store.t) ->
         (match Hashtbl.find_opt s.pair_witnesses (b_id, a_id) with
         | Some p when point_in_cuts poly p && Vec.dot w p >= -.tol ->
           Counter.incr c_store_hits;
@@ -296,12 +288,12 @@ let region_prune ?(anchors = 4) ?store ~eps region data =
           Hashtbl.remove s.pair_witnesses (b_id, a_id);
           false
         | None -> false)
-      | _ -> false
+      | None -> false
     in
     let remember b_id a_id p =
       match store with
-      | Some s when use_store -> Hashtbl.replace s.pair_witnesses (b_id, a_id) p
-      | _ -> ()
+      | Some s -> Hashtbl.replace s.pair_witnesses (b_id, a_id) p
+      | None -> ()
     in
     (* Hot-loop scratch: [scaled] and [w] are filled in place per
        candidate / per anchor with the exact per-element expressions of

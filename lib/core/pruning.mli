@@ -63,8 +63,7 @@ val region_prune :
     (no sound inference is possible from inconsistent answers).
     [store] carries certificates between successive calls over a shrinking
     region; it never changes which candidates survive, only how many LPs
-    are issued (and is ignored when {!Indq_geom.Polytope.set_incremental}
-    is off). *)
+    are issued. *)
 
 val utility_floor :
   ?store:Store.t -> Region.t -> Indq_dataset.Dataset.t -> float

@@ -32,7 +32,7 @@ type result = {
 (* [scored] also returns the posterior regions it built, indexed like
    [display]: when the trial wins the round, the posterior matching the
    oracle's answer becomes the next committed region, carrying its
-   memoized cold-exact artifacts instead of being rebuilt from scratch.
+   memoized artifacts instead of being rebuilt from scratch.
    On an aborted trial the tail entries keep the placeholder (the parent
    region); aborted trials score [infinity] and can never win, so those
    entries are never read. *)
@@ -46,13 +46,8 @@ let scored ?stop_above ~delta ~metric region display =
      computed through the very same division — is at least the partial
      mean and fails the caller's strict [<] test.  Aborting there is
      decision-exact, not merely approximate: the trial loses either way,
-     only its LPs are skipped.  Only used on the incremental path: the
-     cold path must replay the historical computation exactly. *)
-  let best_to_beat =
-    match stop_above with
-    | Some best when Indq_geom.Polytope.incremental_enabled () -> best
-    | _ -> infinity
-  in
+     only its LPs are skipped. *)
+  let best_to_beat = Option.value stop_above ~default:infinity in
   let nf = float_of_int n in
   let total = ref 0. in
   (* Monotone doom test, shared with the metric folds: width / diameter
@@ -114,10 +109,9 @@ let pick_display ~strategy ~trials ~delta ~rng region candidates s =
        diameter queries inherit the parent's ranges as upper-bound hints
        and skip the directions that cannot attain the maximum.  Hint-cache
        only — no effect on which display set wins. *)
-    if Indq_geom.Polytope.incremental_enabled () then
-      (match metric with
-      | `Width -> ignore (Region.width region)
-      | `Diameter -> ignore (Region.diameter region));
+    (match metric with
+    | `Width -> ignore (Region.width region)
+    | `Diameter -> ignore (Region.diameter region));
     (* Per-round score memo: sampling with replacement across trials can
        redraw a display set, and the score is a pure function of (region,
        display), so replaying it from the memo is bit-exact.  A memoized
@@ -129,18 +123,15 @@ let pick_display ~strategy ~trials ~delta ~rng region candidates s =
       Array.to_list (Array.map Tuple.id display) |> List.sort compare
     in
     let score_of ?stop_above candidate =
-      if not (Indq_geom.Polytope.incremental_enabled ()) then
-        (score_display_set ?stop_above ~delta ~metric region candidate, [||])
-      else
-        let k = key candidate in
-        match Hashtbl.find_opt seen k with
-        | Some cached ->
-          Counter.incr c_cache_hits;
-          cached
-        | None ->
-          let result = scored ?stop_above ~delta ~metric region candidate in
-          Hashtbl.replace seen k result;
-          result
+      let k = key candidate in
+      match Hashtbl.find_opt seen k with
+      | Some cached ->
+        Counter.incr c_cache_hits;
+        cached
+      | None ->
+        let result = scored ?stop_above ~delta ~metric region candidate in
+        Hashtbl.replace seen k result;
+        result
     in
     let best = ref (sample ()) in
     let best_score, best_posts =
@@ -202,15 +193,13 @@ let run ?(delta = 0.) ?(trials = 10) ?(anchors = 4) ?store strategy ~data ~s ~q
       let choice = Oracle.choose oracle values in
       (* Line 12: cut the region; keep the old one if the answers were
          inconsistent beyond the modeled delta (empty region admits no
-         sound inference).  On the incremental path the winning trial
-         already built this exact posterior (same [observe] call), so its
-         region — with the memoized cold-exact artifacts paid for during
-         scoring — is adopted instead of being rebuilt. *)
+         sound inference).  Under MinR/MinD the winning trial already built
+         this exact posterior (same [observe] call), so its region — with
+         the memoized artifacts paid for during scoring — is adopted
+         instead of being rebuilt. *)
       let updated =
-        if
-          Indq_geom.Polytope.incremental_enabled ()
-          && Array.length posteriors = Array.length display
-        then posteriors.(choice)
+        if Array.length posteriors = Array.length display then
+          posteriors.(choice)
         else begin
           let winner = values.(choice) in
           let losers = ref [] in

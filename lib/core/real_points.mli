@@ -75,8 +75,7 @@ val score_display_set :
   float
 (** The MinR/MinD objective for one candidate display set: the average
     metric of the region over each possible user answer (empty posterior
-    regions contribute 0).  With [stop_above] (and the incremental engine
-    on), scoring aborts — returning [infinity] — as soon as the
+    regions contribute 0).  With [stop_above], scoring aborts — returning [infinity] — as soon as the
     non-negative partial sum proves the final score cannot be strictly
     below the given bound, skipping the remaining posteriors' LPs.
     Exposed for tests. *)

@@ -196,23 +196,3 @@ let is_dominated_by_any data p =
   Array.exists
     (fun q -> Tuple.id q <> Tuple.id p && Dominance.dominates_tuple q p)
     (Dataset.tuples data)
-
-let dominance_counts data =
-  let tuples = Dataset.tuples data in
-  Array.map
-    (fun p ->
-      Array.fold_left
-        (fun acc q ->
-          if Tuple.id q <> Tuple.id p && Dominance.dominates_tuple q p then
-            acc + 1
-          else acc)
-        0 tuples)
-    tuples
-
-let k_skyband ~k data =
-  if k < 1 then invalid_arg "Skyline.k_skyband: k must be >= 1";
-  let counts = dominance_counts data in
-  let index = ref (-1) in
-  Dataset.filter data (fun _ ->
-      incr index;
-      counts.(!index) < k)

@@ -50,13 +50,3 @@ val prune_eps_dominated : eps:float -> Indq_dataset.Dataset.t -> Indq_dataset.Da
 
 val is_dominated_by_any : Indq_dataset.Dataset.t -> Indq_dataset.Tuple.t -> bool
 (** Whether any {i other} tuple (different id) dominates the given one. *)
-
-val k_skyband : k:int -> Indq_dataset.Dataset.t -> Indq_dataset.Dataset.t
-(** The k-skyband: tuples dominated by fewer than [k] others ([k = 1] is
-    the skyline).  Related work the paper contrasts against; useful as a
-    non-interactive baseline that, like the indistinguishability query,
-    retains some dominated tuples.  O(n²d).  Requires [k >= 1]. *)
-
-val dominance_counts : Indq_dataset.Dataset.t -> int array
-(** For each tuple (positional order), how many other tuples dominate it.
-    0 exactly for skyline members. *)

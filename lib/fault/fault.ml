@@ -25,8 +25,11 @@ let sites =
     ("inject.journal_torn_write",
      "a session-journal append is torn mid-record, as if the process died \
       mid-write");
-    ("inject.lp_iteration_cap", "Lp.solve primary pivot budget collapses to zero");
-    ("inject.lp_nan_pivot", "a non-finite value is planted in the simplex tableau");
+    ("inject.lp_iteration_cap",
+     "the primary pivot budget of an Lp.Live optimize or add_cut run \
+      collapses to zero");
+    ("inject.lp_nan_pivot",
+     "a non-finite value is planted in the tableau Lp.Live.create builds");
     ("inject.oracle_contradiction", "the simulated user picks the worst option");
     ("inject.worker_death", "a Pool.parallel_map chunk dies before computing");
   ]

@@ -11,10 +11,13 @@
     installed every site is dormant and costs one thread-local read.  The
     eight sites and what each one exercises:
 
-    - [inject.lp_iteration_cap] — collapses [Lp.solve]'s primary pivot
-      budget to zero, forcing the Bland's-rule anti-cycling fallback;
-    - [inject.lp_nan_pivot] — plants a non-finite value in the simplex
-      tableau, forcing the typed [Lp.Failed (Numerical _)] outcome;
+    - [inject.lp_iteration_cap] — collapses the primary pivot budget of
+      an [Lp.Live.optimize] or [Lp.Live.add_cut] run to zero: [optimize]
+      recovers by continuing under Bland's anti-cycling rule, a failed
+      [add_cut] by the polytope rebuilding that region's tableau;
+    - [inject.lp_nan_pivot] — plants a non-finite value in the tableau
+      [Lp.Live.create] builds, forcing the typed
+      [Lp.Failed (Numerical _)] outcome;
     - [inject.oracle_contradiction] — makes the simulated user pick the
       {e worst} option, producing contradictory cuts that collapse the
       feasible region;

@@ -6,6 +6,10 @@ module Counter = Indq_obs.Counter
 
 let c_cache_hits = Counter.make "poly.cache_hits"
 
+(* Frozen-tableau rebuilds after a failed replay step: from-scratch
+   [Lp.Live.create] runs, the same event [Lp.solve] counts. *)
+let c_rebuilds = Counter.make "lp.solves"
+
 exception Solver_error of Lp.error
 (* The LP solver returned [Lp.Failed] where a verdict was required (an
    extreme value, a profile, a width).  The region's geometry is unknown —
@@ -18,27 +22,16 @@ let () =
     | Solver_error e -> Some ("Indq_geom.Polytope.Solver_error: " ^ Lp.error_message e)
     | _ -> None)
 
-(* Master switch for the incremental engine: per-polytope memoization of
-   the frozen tableau, extreme pairs, profiles and feasibility verdicts.
-   Off = every query recomputes from scratch (the canonical replay, run
-   without any cross-query cache); used by tests and by [bench -cold] to
-   prove both paths agree.
-
-   The central determinism discipline of this module: every LP-derived
+(* The central determinism discipline of this module: every LP-derived
    value is a *pure function of the cut list* (plus static query
    parameters).  Each region owns a canonical "frozen" dual-simplex
    tableau obtained by replaying its cuts oldest-to-newest through
    [Lp.Live.add_cut] under the zero objective; every value query forks
    that tableau and optimizes on the fork, so the pivot sequence — and
    hence every float — depends only on (cuts, query), never on which
-   queries ran before.  Incremental mode memoizes the frozen tableau and
-   the query results per node; cold mode rebuilds the same objects per
-   query and necessarily lands on the same bits. *)
-let incremental = Atomic.make true
-
-let set_incremental b = Atomic.set incremental b
-
-let incremental_enabled () = Atomic.get incremental
+   queries ran before.  The frozen tableau and the query results are
+   memoized per node; a memo hit returns the bits a recomputation would
+   produce. *)
 
 (* Per-coordinate / per-direction extreme: optimal value plus the region
    point (LP vertex) where it is attained.  The point doubles as the cache
@@ -53,11 +46,11 @@ type extreme = { value : float; witness : Vec.t }
    value queries fork it ([Lp.Live.copy]) and pivot on the fork, so one
    parent setup is reused across every candidate child and every
    per-candidate objective (the Lemma-2 batch shape).  [Empty] is the
-   exact dual-ratio infeasibility verdict; [Fallback] records that the
-   replay failed (pivot budget, numerics) — deterministically, so both
-   engine modes take the same branch — and all queries on the region use
-   the legacy cold two-phase solver instead. *)
-type frozen = Tableau of Lp.Live.t | Empty | Fallback
+   exact dual-ratio infeasibility verdict.  When a replay step fails
+   (pivot budget, numerics), the node's tableau is rebuilt from its full
+   constraint list instead; [Unknown] records that the rebuild failed
+   too, so the region's geometry is unknown. *)
+type frozen = Tableau of Lp.Live.t | Empty | Unknown of Lp.error
 
 type artifacts = {
   mutable feas_point : Vec.t option;
@@ -115,51 +108,36 @@ let to_lp_constraints r =
   let ones = Vec.make r.dim 1. in
   Lp.constr ones Lp.Eq 1. :: List.map Halfspace.to_lp_constr r.cuts
 
-(* --- Legacy cold solver (fallback path) -------------------------------- *)
-
-(* Two-phase primal solve over the full constraint list.  Only reached
-   when the canonical replay reported [Fallback] for this region — a
-   deterministic event — so both engine modes agree on when it runs. *)
-let solve_cold r objective direction =
-  let outcome = Lp.solve ~n:r.dim ~objective direction (to_lp_constraints r) in
-  (match outcome with
-  | Lp.Optimal { point; _ } ->
-    r.emptiness <- Some false;
-    if r.art.feas_point = None then r.art.feas_point <- Some point
-  | Lp.Infeasible -> r.emptiness <- Some true
-  | Lp.Unbounded | Lp.Failed _ -> ());
-  outcome
-
 (* --- Canonical frozen tableau ------------------------------------------ *)
 
-(* Query-local replay memo for cold mode: the frozen chain root -> r is
-   built once per public query and shared by every direction that query
-   probes, instead of being rebuilt per direction (which would square the
-   replay cost).  Keyed by physical node. *)
-type ctx = (t * frozen) list ref
+(* A from-scratch tableau over the region's full constraint list: the
+   root's canonical build, and the rebuild of a node whose replay step
+   failed. *)
+let create r =
+  match Lp.Live.create ~n:r.dim (to_lp_constraints r) with
+  | `Feasible h -> Tableau h
+  | `Infeasible -> Empty
+  | `Failed err -> Unknown err
 
-let new_ctx () : ctx = ref []
+let rebuild r =
+  Counter.incr c_rebuilds;
+  create r
 
-let rec frozen_via (ctx : ctx) r =
-  let cached =
-    if Atomic.get incremental then r.art.frozen else List.assq_opt r !ctx
-  in
-  match cached with
+(* [Unknown] is not memoized: a later query retries the replay, and may
+   reach a verdict. *)
+let rec frozen r =
+  match r.art.frozen with
   | Some f ->
-    if Atomic.get incremental then Counter.incr c_cache_hits;
+    Counter.incr c_cache_hits;
     f
   | None ->
     let f =
       match r.parent with
-      | None -> (
-        match Lp.Live.create ~n:r.dim (to_lp_constraints r) with
-        | `Feasible h -> Tableau h
-        | `Infeasible -> Empty
-        | `Failed _ -> Fallback)
+      | None -> create r
       | Some p -> (
-        match frozen_via ctx p with
+        match frozen p with
         | Empty -> Empty
-        | Fallback -> Fallback
+        | Unknown _ -> rebuild r
         | Tableau ph -> (
           (* Each [cut] node carries exactly one halfspace of its own:
              the head of its cut list. *)
@@ -167,9 +145,9 @@ let rec frozen_via (ctx : ctx) r =
           match Lp.Live.add_cut h (Halfspace.to_lp_constr (List.hd r.cuts)) with
           | `Sat | `Reopt _ -> Tableau h
           | `Infeasible -> Empty
-          | `Failed _ -> Fallback))
+          | `Failed _ -> rebuild r))
     in
-    (if Atomic.get incremental then r.art.frozen <- Some f else ctx := (r, f) :: !ctx);
+    (match f with Unknown _ -> () | Tableau _ | Empty -> r.art.frozen <- Some f);
     f
 
 (* --- The d = 2 analytic path ------------------------------------------- *)
@@ -177,8 +155,8 @@ let rec frozen_via (ctx : ctx) r =
 (* On the simplex line [u = (a, 1-a)], [a in [0, 1]], every region is an
    interval: cut [n . u >= b] reduces to [(n0 - n1) a >= b - n1].  The
    same thresholds as [line_clip] decide parallel cuts.  A pure function
-   of the cut list, shared verbatim by both engine modes, and the reason
-   the d = 2 experiment cells run without a single LP pivot. *)
+   of the cut list, and the reason the d = 2 experiment cells run without
+   a single LP pivot. *)
 let d2_interval r =
   let lo = ref 0. and hi = ref 1. in
   List.iter
@@ -276,15 +254,13 @@ let is_empty r =
       verdict
     end
     else
+      (* Any ancestor point surviving the interleaving cuts is a point of
+         [r]: feasibility settled by dot products alone. *)
       let cached_point =
-        if not (Atomic.get incremental) then None
-        else
-          (* Any ancestor point surviving the interleaving cuts is a point
-             of [r]: feasibility settled by dot products alone. *)
-          ancestor_candidates r ~probe:(fun a ->
-              match known_points a with [] -> None | ps -> Some ps)
-          |> List.find_map (fun (points, cuts) ->
-                 List.find_opt (survives cuts) points)
+        ancestor_candidates r ~probe:(fun a ->
+            match known_points a with [] -> None | ps -> Some ps)
+        |> List.find_map (fun (points, cuts) ->
+               List.find_opt (survives cuts) points)
       in
       (match cached_point with
       | Some p ->
@@ -293,8 +269,7 @@ let is_empty r =
         r.emptiness <- Some false;
         false
       | None -> (
-        let ctx = new_ctx () in
-        match frozen_via ctx r with
+        match frozen r with
         | Empty ->
           r.emptiness <- Some true;
           true
@@ -302,19 +277,14 @@ let is_empty r =
           r.emptiness <- Some false;
           if r.art.feas_point = None then r.art.feas_point <- Some (Lp.Live.point h);
           false
-        | Fallback -> (
-          match solve_cold r (Vec.make r.dim 0.) `Minimize with
-          | Lp.Optimal _ -> false
-          | Lp.Infeasible -> true
-          | Lp.Unbounded -> assert false
-          | Lp.Failed _ ->
-            (* The solver could not reach a verdict, so the region's
-               feasibility is unknown.  Report it as unusable (empty) —
-               callers discard an empty posterior and keep their last
-               sound region, which preserves no-false-negatives — but do
-               NOT cache the verdict: a later query may succeed and must
-               not inherit a fabricated emptiness. *)
-            true)))
+        | Unknown _ ->
+          (* The solver could not reach a verdict, so the region's
+             feasibility is unknown.  Report it as unusable (empty) —
+             callers discard an empty posterior and keep their last sound
+             region, which preserves no-false-negatives — but do NOT cache
+             the verdict: a later query may succeed and must not inherit a
+             fabricated emptiness. *)
+          true))
 
 let contains ?tol r v =
   Vec.dim v = r.dim
@@ -327,21 +297,6 @@ let require_nonempty name r =
 
 (* --- Canonical extremes ------------------------------------------------ *)
 
-(* One side of an extreme pair, by the legacy cold solver.  Only reached
-   below a [Fallback] replay. *)
-let cold_side r dir side =
-  match side with
-  | `Minimize -> (
-    match solve_cold r (Vec.neg dir) `Maximize with
-    | Lp.Optimal { objective = o; point } -> { value = -.o; witness = point }
-    | Lp.Failed err -> raise (Solver_error err)
-    | _ -> assert false)
-  | `Maximize -> (
-    match solve_cold r dir `Maximize with
-    | Lp.Optimal { objective = o; point } -> { value = o; witness = point }
-    | Lp.Failed err -> raise (Solver_error err)
-    | _ -> assert false)
-
 (* The (min, max) extreme pair of [dir] over [r], computed fresh at this
    node: fork the frozen tableau and re-optimize both senses on the fork
    (low side first).  [adopt_lo] / [adopt_hi] carry a parent-pair side
@@ -350,13 +305,10 @@ let cold_side r dir side =
    verbatim and only the broken side pays pivots.  Which sides are
    adopted is itself a pure function of the cut list, so the fork's pivot
    sequence — and every produced float — is canonical. *)
-let fresh_pair ctx r dir ~adopt_lo ~adopt_hi =
-  match frozen_via ctx r with
+let fresh_pair r dir ~adopt_lo ~adopt_hi =
+  match frozen r with
   | Empty -> invalid_arg "Polytope: extreme of empty region"
-  | Fallback ->
-    let lo = match adopt_lo with Some e -> e | None -> cold_side r dir `Minimize in
-    let hi = match adopt_hi with Some e -> e | None -> cold_side r dir `Maximize in
-    (lo, hi)
+  | Unknown err -> raise (Solver_error err)
   | Tableau fh ->
     let fork = lazy (Lp.Live.copy fh) in
     let side adopt sense =
@@ -365,10 +317,7 @@ let fresh_pair ctx r dir ~adopt_lo ~adopt_hi =
       | None -> (
         match Lp.Live.optimize (Lazy.force fork) ~objective:dir sense with
         | Lp.Optimal { objective; point } -> { value = objective; witness = point }
-        | Lp.Failed _ ->
-          (* Deterministic failure (budget, numerics): same fallback in
-             both engine modes. *)
-          cold_side r dir sense
+        | Lp.Failed err -> raise (Solver_error err)
         | Lp.Infeasible | Lp.Unbounded -> assert false)
     in
     let lo = side adopt_lo `Minimize in
@@ -377,13 +326,13 @@ let fresh_pair ctx r dir ~adopt_lo ~adopt_hi =
 
 (* The canonical extreme pair of [dir] over [r]: adopt the parent's pair
    where its witnesses survive [r]'s cut, fork-and-pivot the rest.  The
-   recursion bottoms out at the root (or, in incremental mode, at the
-   nearest ancestor with a memoized pair).  Memo writes go to the queried
-   node only — ancestors are read, never written, preserving the
-   trial-local ownership discipline the parallel bench relies on. *)
-let canonical_pair ctx r dir ~get ~set =
+   recursion bottoms out at the root or at the nearest ancestor with a
+   memoized pair.  Memo writes go to the queried node only — ancestors are
+   read, never written, preserving the trial-local ownership discipline
+   the parallel bench relies on. *)
+let canonical_pair r dir ~get ~set =
   let rec lookup node =
-    match (if Atomic.get incremental then get node else None) with
+    match get node with
     | Some pair ->
       Counter.incr c_cache_hits;
       pair
@@ -395,25 +344,25 @@ let canonical_pair ctx r dir ~get ~set =
         let lo_ok = Halfspace.satisfies cut plo.witness in
         let hi_ok = Halfspace.satisfies cut phi.witness in
         if lo_ok && hi_ok then begin
-          if Atomic.get incremental then Counter.incr c_cache_hits;
+          Counter.incr c_cache_hits;
           parent_pair
         end
         else
-          fresh_pair ctx node dir
+          fresh_pair node dir
             ~adopt_lo:(if lo_ok then Some plo else None)
             ~adopt_hi:(if hi_ok then Some phi else None)
-      | None -> fresh_pair ctx node dir ~adopt_lo:None ~adopt_hi:None)
+      | None -> fresh_pair node dir ~adopt_lo:None ~adopt_hi:None)
   in
   let pair = lookup r in
-  if Atomic.get incremental then set r pair;
+  set r pair;
   pair
 
 let ensure_fast_bounds r =
   if Array.length r.art.fast_bounds = 0 then
     r.art.fast_bounds <- Array.make r.dim None
 
-let axis_pair ctx r i =
-  canonical_pair ctx r (Vec.basis r.dim i)
+let axis_pair r i =
+  canonical_pair r (Vec.basis r.dim i)
     ~get:(fun a ->
       if Array.length a.art.fast_bounds = 0 then None else a.art.fast_bounds.(i))
     ~set:(fun a pair ->
@@ -433,14 +382,14 @@ let d2_profile r =
   let witnesses = [ pt_hi; pt_lo; pt_lo; pt_hi ] in
   (bounds, witnesses)
 
-let compute_profile ctx r =
+let compute_profile r =
   require_nonempty "Polytope.coordinate_bounds" r;
   if r.dim = 2 then d2_profile r
   else begin
     let witnesses = ref [] in
     let bounds =
       Array.init r.dim (fun i ->
-          let lo, hi = axis_pair ctx r i in
+          let lo, hi = axis_pair r i in
           witnesses := lo.witness :: hi.witness :: !witnesses;
           (lo.value, hi.value))
     in
@@ -449,12 +398,12 @@ let compute_profile ctx r =
 
 let coordinate_profile r =
   match r.art.profile with
-  | Some p when Atomic.get incremental ->
+  | Some p ->
     Counter.incr c_cache_hits;
     p
-  | _ ->
-    let p = compute_profile (new_ctx ()) r in
-    if Atomic.get incremental then r.art.profile <- Some p;
+  | None ->
+    let p = compute_profile r in
+    r.art.profile <- Some p;
     p
 
 let coordinate_bounds r = fst (coordinate_profile r)
@@ -465,7 +414,7 @@ let coordinate_bounds r = fst (coordinate_profile r)
    simplex triangle (e_0, e_1, e_2) by every cut, oldest to newest, with
    Sutherland–Hodgman.  Pure float arithmetic over the cut list — no LP,
    no cache, no RNG — so the vertex list is a deterministic function of
-   the cuts, identical in incremental and cold mode.  Returns [] when the
+   the cuts.  Returns [] when the
    clipping degenerates away (the region may still be nonempty within
    solver tolerance; callers must fall back to LP-grade queries). *)
 let d3_polygon r =
@@ -567,38 +516,28 @@ let width ?stop_when r =
        profile bounds, so the floats agree with [coordinate_bounds]. *)
     Float.max (Float.max 0. (hi -. lo)) ((1. -. lo) -. (1. -. hi))
   end
-  else
-    let ctx = new_ctx () in
-    if not (Atomic.get incremental) then begin
-      let acc = ref 0. in
-      for i = 0 to r.dim - 1 do
-        let lo, hi = axis_pair ctx r i in
-        acc := Float.max !acc (hi.value -. lo.value)
-      done;
-      !acc
-    end
-    else begin
-      let order = by_descending_hint (Array.init r.dim (range_hint r)) in
-      let acc = ref 0. in
-      (try
-         Array.iter
-           (fun (i, hint) ->
-             (match hint with
-             | Some h when h +. skip_margin <= !acc -> Counter.incr c_cache_hits
-             | _ ->
-               let lo, hi = axis_pair ctx r i in
-               acc := Float.max !acc (hi.value -. lo.value));
-             match stop_when with
-             | Some f when f !acc -> raise Stopped
-             | _ -> ())
-           order
-       with Stopped -> ());
-      !acc
-    end
+  else begin
+    let order = by_descending_hint (Array.init r.dim (range_hint r)) in
+    let acc = ref 0. in
+    (try
+       Array.iter
+         (fun (i, hint) ->
+           (match hint with
+           | Some h when h +. skip_margin <= !acc -> Counter.incr c_cache_hits
+           | _ ->
+             let lo, hi = axis_pair r i in
+             acc := Float.max !acc (hi.value -. lo.value));
+           match stop_when with
+           | Some f when f !acc -> raise Stopped
+           | _ -> ())
+         order
+     with Stopped -> ());
+    !acc
+  end
 
 (* Support extremes along an arbitrary direction, uncached: a fresh fork
    of the frozen tableau per call (d = 2: the interval endpoints). *)
-let support_pair ctx r dir =
+let support_pair r dir =
   if r.dim = 2 then begin
     let lo, hi = d2_range_exn r in
     let pt_lo = d2_point lo and pt_hi = d2_point hi in
@@ -607,11 +546,11 @@ let support_pair ctx r dir =
       ({ value = v_lo; witness = pt_lo }, { value = v_hi; witness = pt_hi })
     else ({ value = v_hi; witness = pt_hi }, { value = v_lo; witness = pt_lo })
   end
-  else fresh_pair ctx r dir ~adopt_lo:None ~adopt_hi:None
+  else fresh_pair r dir ~adopt_lo:None ~adopt_hi:None
 
 let support_width r dir =
   require_nonempty "Polytope.support_width" r;
-  let lo, hi = support_pair (new_ctx ()) r dir in
+  let lo, hi = support_pair r dir in
   hi.value -. lo.value
 
 let axis_pair_directions d =
@@ -629,8 +568,8 @@ let axis_pair_directions d =
 (* Support extremes along canonical direction [idx] (the position in
    [axes @ axis_pair_directions dim]), cached per polytope and adopted
    through cuts like the coordinate bounds. *)
-let fast_support_extremes ctx r idx dir =
-  canonical_pair ctx r dir
+let fast_support_extremes r idx dir =
+  canonical_pair r dir
     ~get:(fun a -> Hashtbl.find_opt a.art.support idx)
     ~set:(fun a pair -> Hashtbl.replace a.art.support idx pair)
 
@@ -644,16 +583,15 @@ let rec support_hint r idx =
 
 let diameter ?(extra_directions = [||]) ?stop_when r =
   require_nonempty "Polytope.diameter" r;
-  let ctx = new_ctx () in
   let axes = List.init r.dim (fun i -> Vec.basis r.dim i) in
   let canonical = Array.of_list (axes @ axis_pair_directions r.dim) in
   let extent_of support dir = support /. Float.max (Vec.norm2 dir) 1e-12 in
   let acc = ref 0. in
   (try
-     if r.dim = 2 || not (Atomic.get incremental) then
+     if r.dim = 2 then
        Array.iter
          (fun dir ->
-           let lo, hi = support_pair ctx r dir in
+           let lo, hi = support_pair r dir in
            acc := Float.max !acc (extent_of (hi.value -. lo.value) dir))
          canonical
      else begin
@@ -674,7 +612,7 @@ let diameter ?(extra_directions = [||]) ?stop_when r =
            | Some h when h +. skip_margin <= !acc -> Counter.incr c_cache_hits
            | _ ->
              let dir = canonical.(idx) in
-             let lo, hi = fast_support_extremes ctx r idx dir in
+             let lo, hi = fast_support_extremes r idx dir in
              acc := Float.max !acc (extent_of (hi.value -. lo.value) dir));
            match stop_when with
            | Some f when f !acc -> raise Stopped
@@ -683,7 +621,7 @@ let diameter ?(extra_directions = [||]) ?stop_when r =
      end;
      Array.iter
        (fun dir ->
-         let lo, hi = support_pair ctx r dir in
+         let lo, hi = support_pair r dir in
          acc := Float.max !acc (extent_of (hi.value -. lo.value) dir))
        extra_directions
    with Stopped -> ());
@@ -724,31 +662,19 @@ let maximize r c =
     if v_hi >= v_lo then Some (v_hi, pt_hi) else Some (v_lo, pt_lo)
   end
   else
-    let ctx = new_ctx () in
-    match frozen_via ctx r with
+    match frozen r with
     | Empty -> None
+    | Unknown err -> raise (Solver_error err)
     | Tableau fh -> (
-      let fork = Lp.Live.copy fh in
-      match Lp.Live.optimize fork ~objective:c `Maximize with
+      match Lp.Live.optimize (Lp.Live.copy fh) ~objective:c `Maximize with
       | Lp.Optimal { objective; point } ->
         if r.art.feas_point = None then r.art.feas_point <- Some point;
         Some (objective, point)
-      | Lp.Failed _ -> (
-        match solve_cold r c `Maximize with
-        | Lp.Optimal { objective; point } -> Some (objective, point)
-        | Lp.Infeasible -> None
-        | Lp.Unbounded -> assert false
-        | Lp.Failed e -> raise (Solver_error e))
-      | Lp.Infeasible | Lp.Unbounded -> assert false)
-    | Fallback -> (
-      match solve_cold r c `Maximize with
-      | Lp.Optimal { objective; point } -> Some (objective, point)
-      | Lp.Infeasible -> None
-      | Lp.Unbounded ->
+      | Lp.Failed err -> raise (Solver_error err)
+      | Lp.Infeasible | Lp.Unbounded ->
         (* Impossible over the compact simplex; flag loudly if the LP ever
            reports it. *)
-        assert false
-      | Lp.Failed e -> raise (Solver_error e))
+        assert false)
 
 let minimize r c =
   match maximize r (Vec.neg c) with

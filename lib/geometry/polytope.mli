@@ -24,14 +24,18 @@
     the simplex line and everything is answered analytically, without a
     tableau at all.
 
-    Incremental mode (the default) memoizes the frozen tableau, extreme
-    pairs, profiles and verdicts per region and skips fold directions whose
-    inherited upper-bound hints cannot affect the result; reuse shows up in
-    ["poly.cache_hits"] and dual activity in ["lp.dual_reopt"] /
-    ["lp.dual_pivots"].  {!set_incremental}[ false] (used by tests and
-    [bench -cold]) turns every cache off: each query then replays the same
-    canonical construction from scratch and lands on byte-identical
-    results. *)
+    The frozen tableau, extreme pairs, profiles and verdicts are memoized
+    per region, and fold directions whose inherited upper-bound hints
+    cannot affect the result are skipped; a memo hit returns the bits a
+    recomputation would produce.  Reuse shows up in ["poly.cache_hits"] and
+    dual activity in ["lp.dual_reopt"] / ["lp.dual_pivots"].
+
+    {b Failure.}  When a replay step fails ({!Indq_lp.Lp.Live.add_cut}
+    exhausts its pivot budget or hits a non-finite value), that region's
+    frozen tableau is rebuilt by {!Indq_lp.Lp.Live.create} over its full
+    constraint list (counted in ["lp.solves"]).  If the rebuild fails too,
+    the region's geometry is unknown: {!is_empty} answers [true] without
+    caching, and value queries raise {!Solver_error}. *)
 
 type t
 
@@ -45,14 +49,6 @@ exception Solver_error of Indq_lp.Lp.error
 val simplex : int -> t
 (** [simplex d] is the initial region [R_0] for [d] attributes.
     Raises [Invalid_argument] if [d < 1]. *)
-
-val set_incremental : bool -> unit
-(** Globally enable / disable the per-region caches and hint-based fold
-    skipping (default: enabled).  Used by equivalence tests and
-    [bench -cold]; both settings produce byte-identical results by the
-    canonical-replay construction above. *)
-
-val incremental_enabled : unit -> bool
 
 val dim : t -> int
 
@@ -109,7 +105,7 @@ val width : ?stop_when:(float -> bool) -> t -> float
 (** Paper's MinR metric: the largest coordinate range
     [max_i (hi_i - lo_i)].  0 for a point; raises on an empty region.
 
-    [stop_when] (incremental engine only) is polled with the running
+    [stop_when] is polled with the running
     maximum after each direction; when it answers [true] the fold stops
     and the partial maximum — a lower bound on the true width — is
     returned.  The predicate must be monotone (once true, true for every

@@ -5,27 +5,20 @@ module Vec = Indq_linalg.Vec
 module Mat = Indq_linalg.Mat
 
 let c_solves = Counter.make "lp.solves"
-let c_iterations = Counter.make "lp.iterations"
 let c_dual_reopt = Counter.make "lp.dual_reopt"
 let c_dual_pivots = Counter.make "lp.dual_pivots"
 let c_failures = Counter.make "lp.failures"
 let c_retry_attempts = Counter.make "retry.attempts"
 let c_retry_exhausted = Counter.make "retry.exhausted"
 
-(* Counters and pivot histograms are split by path, disjointly.  Cold
-   two-phase [solve] calls count in [lp.solves], pivot into
-   [lp.iterations], and observe [lp.pivots_per_solve] (all attempts:
-   Dantzig, Bland retry).  Live-tableau operations — phase-1 setup in
-   [Live.create], dual-simplex cut absorption in [add_cut], phase-2-only
-   re-optimization in [optimize] — pivot into [lp.dual_pivots], count
-   re-optimizations in [lp.dual_reopt], and observe
-   [lp.pivots_per_reopt].  A pivot lands in exactly one of
-   [lp.iterations] / [lp.dual_pivots] (decided by which tableau it runs
-   on), so the two counters compare the legacy and incremental engines
-   directly.  Each histogram is measured as the delta of its path's
-   counter around the call; pivot counts are integers, so every
-   histogram (including its float sum) merges exactly across domains. *)
-let h_pivots_per_solve = Histogram.make "lp.pivots_per_solve"
+(* Every pivot runs on a [Live] tableau and counts in [lp.dual_pivots]:
+   phase-1 setup in [Live.create], dual-simplex cut absorption in
+   [add_cut], phase-2 re-optimization in [optimize].  Re-optimizations
+   count in [lp.dual_reopt] and observe [lp.pivots_per_reopt], measured
+   as the delta of [lp.dual_pivots] around the call; pivot counts are
+   integers, so the histogram (float sum included) merges exactly across
+   domains.  [lp.solves] counts one-shot [solve] calls; the polytope
+   bumps it too when it rebuilds a tableau from scratch. *)
 let h_pivots_per_reopt = Histogram.make "lp.pivots_per_reopt"
 
 type relation = Le | Ge | Eq
@@ -49,8 +42,7 @@ let error_message = function
   | Numerical { detail } -> "numerical failure: " ^ detail
 
 (* Internal escape hatch for corrupted arithmetic: raised where the tableau
-   turns out to hold a non-finite value, caught in [solve] / [Live] and
-   surfaced as [Failed (Numerical _)].  Never leaves this module. *)
+   turns out to hold a non-finite value, caught in [Live] and surfaced as [Failed (Numerical _)].  Never leaves this module. *)
 exception Bad_pivot of string
 
 (* Internal mutable tableau for the simplex.
@@ -76,9 +68,7 @@ type tableau = {
   mutable basis : int array;  (* capacity [Mat.rows data] *)
   mutable obj : Vec.t;  (* capacity [Mat.cols data] *)
   mutable obj_value : float;
-  mutable iters : int;  (* pivots performed on this tableau *)
   tol : float;
-  live : bool;  (* pivots count in lp.dual_pivots, not lp.iterations *)
 }
 
 let check_inputs ~n objective constraints =
@@ -93,7 +83,7 @@ let check_inputs ~n objective constraints =
 (* Build the phase-1 tableau.  Every row is first normalized to rhs >= 0.
    [reserve] leaves headroom in both dimensions for rows a [Live] handle
    appends later. *)
-let build ~tol ~n ?(reserve = 0) ?(live = false) constraints =
+let build ~tol ~n ~reserve constraints =
   let cs = Array.of_list constraints in
   let m = Array.length cs in
   (* Count extra columns. *)
@@ -169,7 +159,7 @@ let build ~tol ~n ?(reserve = 0) ?(live = false) constraints =
     end
   done;
   { n; art_start; art_end; m; ncols = art_end; data; rhs; basis; obj;
-    obj_value = !obj_value; iters = 0; tol; live }
+    obj_value = !obj_value; tol }
 
 let tableau_corrupt t =
   let bad x = not (Float.is_finite x) in
@@ -187,8 +177,7 @@ let tableau_corrupt t =
   live_bad t.rhs t.m || live_bad t.obj t.ncols || !rows_bad
 
 let pivot t ~row ~col =
-  Counter.incr (if t.live then c_dual_pivots else c_iterations);
-  t.iters <- t.iters + 1;
+  Counter.incr c_dual_pivots;
   let pivot_value = Mat.get t.data row col in
   if
     not
@@ -273,11 +262,12 @@ let entering_column t ~rule ~allowed =
     done;
     !entering
 
-(* One simplex run on the current objective row.  [allowed j] restricts the
-   entering columns (used to freeze artificials in phase 2); [fuel] is the
-   remaining pivot budget, shared across phases of one attempt.  Returns
-   [`Optimal], [`Unbounded], or [`Budget] when the fuel runs out with the
-   tableau still improvable. *)
+(* One simplex run on the current objective row under one pivot rule.
+   [allowed j] restricts the entering columns (used to freeze artificials
+   in phase 2); [fuel] is the remaining pivot budget, checked before each
+   pivot.  Returns [`Optimal], [`Unbounded], or [`Budget] when the fuel
+   runs out with the tableau still improvable — at a basis every pivot so
+   far kept feasible, so another rule can continue from it. *)
 let solve_phase t ~rule ~allowed ~fuel =
   let rec iterate () =
     let col = entering_column t ~rule ~allowed in
@@ -369,8 +359,23 @@ let install_objective t cost =
 (* Default pivot budget: generous for the small problems this solver sees
    (d <= 10 variables, a few dozen constraints need well under a hundred
    pivots), yet finite, so a degenerate cycle under the Dantzig rule is cut
-   off and retried under Bland instead of spinning forever. *)
+   off and continued under Bland instead of spinning forever. *)
 let default_budget ~n ~m = 1000 + (50 * (n + (3 * m)))
+
+(* A primal simplex run: Dantzig's rule under [primary] pivots, then — if
+   that runs out — Bland's rule from the same feasible basis under
+   [budget] more, with no rebuild.  Bland cannot cycle, so [`Budget] here
+   means the budget is truly exhausted. *)
+let run_phase t ~allowed ~primary ~budget =
+  match solve_phase t ~rule:`Dantzig ~allowed ~fuel:(ref primary) with
+  | `Budget -> (
+    Counter.incr c_retry_attempts;
+    match solve_phase t ~rule:`Bland ~allowed ~fuel:(ref budget) with
+    | `Budget ->
+      Counter.incr c_retry_exhausted;
+      `Budget
+    | (`Optimal | `Unbounded) as r -> r)
+  | (`Optimal | `Unbounded) as r -> r
 
 let internal_cost direction objective =
   match direction with
@@ -382,105 +387,6 @@ let finish direction outcome =
   | `Maximize, Optimal { objective; point } ->
     Optimal { objective = -.objective; point }
   | _, o -> o
-
-let solve_lp ?(tol = 1e-9) ?max_pivots ~n ~objective direction constraints =
-  let cost = internal_cost direction objective in
-  check_inputs ~n objective constraints;
-  Counter.incr c_solves;
-  let finish o = finish direction o in
-  if constraints = [] then begin
-    (* Only x >= 0: the minimum is 0 at the origin unless some objective
-       coefficient is negative, in which case the problem is unbounded. *)
-    if Vec.exists (fun c -> c < -.tol) cost then finish Unbounded
-    else finish (Optimal { objective = 0.; point = Vec.make n 0. })
-  end
-  else begin
-    let m = List.length constraints in
-    let budget =
-      match max_pivots with Some b -> max 0 b | None -> default_budget ~n ~m
-    in
-    (* Injection sites.  The iteration-cap site collapses only the *primary*
-       budget, so the Bland fallback is what recovers; the NaN site corrupts
-       the freshly built tableau, which the corruption scan turns into the
-       typed [Failed (Numerical _)]. *)
-    let primary_budget =
-      if Fault.fire "inject.lp_iteration_cap" then 0 else budget
-    in
-    let nan_injected = Fault.fire "inject.lp_nan_pivot" in
-    let build_tableau () =
-      let t = build ~tol ~n constraints in
-      if nan_injected then begin
-        Vec.set t.rhs 0 Float.nan;
-        if tableau_corrupt t then raise (Bad_pivot "non-finite tableau entry")
-      end;
-      t
-    in
-    (* One cold two-phase attempt under [rule].  [`Budget] means the fuel ran
-       out mid-pivot; numerical corruption escapes as [Bad_pivot]. *)
-    let cold rule fuel =
-      let t = build_tableau () in
-      match solve_phase t ~rule ~allowed:(fun _ -> true) ~fuel with
-      | `Budget -> `Budget
-      | `Unbounded ->
-        (* Phase-1 objective (sum of artificials, all bounded below by 0) can
-           never be unbounded; treat as numerically infeasible. *)
-        `Done (finish Infeasible)
-      | `Optimal ->
-        (* obj_value holds the negated phase-1 objective. *)
-        if -.t.obj_value > 1e-7 then `Done (finish Infeasible)
-        else begin
-          expel_artificials t;
-          install_objective t cost;
-          match solve_phase t ~rule ~allowed:(col_allowed t) ~fuel with
-          | `Budget -> `Budget
-          | `Unbounded -> `Done (finish Unbounded)
-          | `Optimal ->
-            (match final_solution t with
-            | Error detail -> raise (Bad_pivot detail)
-            | Ok s -> `Done (finish (Optimal s)))
-        end
-    in
-    let fail err =
-      Counter.incr c_failures;
-      Failed err
-    in
-    match cold `Dantzig (ref primary_budget) with
-    | `Done r -> r
-    | exception Bad_pivot detail -> fail (Numerical { detail })
-    | `Budget ->
-      (* Anti-cycling fallback: rebuild and rerun under Bland's rule,
-         which cannot cycle.  Exhausting the budget even there is
-         surfaced as the typed iteration-limit failure. *)
-      Counter.incr c_retry_attempts;
-      (match cold `Bland (ref budget) with
-      | `Done r -> r
-      | exception Bad_pivot detail -> fail (Numerical { detail })
-      | `Budget ->
-        Counter.incr c_retry_exhausted;
-        fail (Iteration_limit { budget }))
-  end
-
-let solve ?tol ?max_pivots ~n ~objective direction constraints =
-  let pivots_before = Counter.value c_iterations in
-  let result = solve_lp ?tol ?max_pivots ~n ~objective direction constraints in
-  Histogram.observe h_pivots_per_solve
-    (Counter.value c_iterations -. pivots_before);
-  result
-
-let minimize ?tol ~n ~objective constraints =
-  solve ?tol ~n ~objective `Minimize constraints
-
-let maximize ?tol ~n ~objective constraints =
-  solve ?tol ~n ~objective `Maximize constraints
-
-let feasible_point ?tol ~n constraints =
-  match minimize ?tol ~n ~objective:(Vec.make n 0.) constraints with
-  | Optimal { point; _ } -> Some point
-  | Infeasible -> None
-  | Unbounded -> None
-  | Failed _ -> None
-
-let is_feasible ?tol ~n constraints = feasible_point ?tol ~n constraints <> None
 
 (* --- Live handles: dual-simplex re-optimization ------------------------ *)
 
@@ -543,43 +449,48 @@ module Live = struct
         };
     }
 
+  (* Build a tableau over the constraint list and run phase 1 to a
+     feasible basis, leaving headroom for the cuts a live handle exists to
+     absorb.  The [inject.lp_nan_pivot] site corrupts the fresh tableau,
+     which the corruption scan turns into [`Failed (Numerical _)]. *)
   let create ?(tol = 1e-9) ?max_pivots ~n constraints =
     check_inputs ~n (Vec.make n 0.) constraints;
-    if constraints = [] then
-      invalid_arg "Lp.Live.create: need at least one constraint";
-    let m = List.length constraints in
     let budget =
       match max_pivots with
       | Some b -> max 0 b
-      | None -> default_budget ~n ~m
+      | None -> default_budget ~n ~m:(List.length constraints)
     in
-    (* Phase 1 to a feasible basis; Bland retry on a Dantzig cycle, like
-       the cold path.  Reserve headroom for the cuts a live handle exists
-       to absorb. *)
-    let attempt rule =
-      let t = build ~tol ~n ~reserve:8 ~live:true constraints in
-      match solve_phase t ~rule ~allowed:(fun _ -> true) ~fuel:(ref budget) with
-      | `Budget -> `Budget
-      | `Unbounded -> `Done `Infeasible
-      | `Optimal ->
-        if -.t.obj_value > 1e-7 then `Done `Infeasible
-        else begin
-          expel_artificials t;
-          install_objective t (Vec.make n 0.);
-          `Done (`Feasible { tab = t; max_pivots; ok = true })
-        end
+    let fail err =
+      Counter.incr c_failures;
+      `Failed err
     in
-    match attempt `Dantzig with
-    | `Done r -> r
-    | exception Bad_pivot detail -> `Failed (Numerical { detail })
-    | `Budget -> (
-      Counter.incr c_retry_attempts;
-      match attempt `Bland with
-      | `Done r -> r
-      | exception Bad_pivot detail -> `Failed (Numerical { detail })
-      | `Budget ->
-        Counter.incr c_retry_exhausted;
-        `Failed (Iteration_limit { budget }))
+    match
+      let t = build ~tol ~n ~reserve:8 constraints in
+      if Fault.fire "inject.lp_nan_pivot" then begin
+        Vec.set t.obj 0 Float.nan;
+        if tableau_corrupt t then raise (Bad_pivot "non-finite tableau entry")
+      end;
+      (t, run_phase t ~allowed:(fun _ -> true) ~primary:budget ~budget)
+    with
+    | exception Bad_pivot detail -> fail (Numerical { detail })
+    | _, `Budget -> fail (Iteration_limit { budget })
+    | _, `Unbounded ->
+      (* The phase-1 objective (a sum of artificials, each bounded below
+         by 0) cannot be unbounded; treat as numerically infeasible. *)
+      `Infeasible
+    | t, `Optimal ->
+      (* obj_value holds the negated phase-1 objective. *)
+      if -.t.obj_value > 1e-7 then `Infeasible
+      else begin
+        expel_artificials t;
+        install_objective t (Vec.make n 0.);
+        `Feasible { tab = t; max_pivots; ok = true }
+      end
+
+  (* The primary budget of one [add_cut] / [optimize] run: the armed
+     [inject.lp_iteration_cap] site collapses it to zero. *)
+  let primary_budget h =
+    if Fault.fire "inject.lp_iteration_cap" then 0 else budget h
 
   (* Append one row in <= form with a fresh basic slack, re-expressed in
      the current basis.  Returns the new row's index. *)
@@ -668,7 +579,7 @@ module Live = struct
       | Eq ->
         ignore (append_le_row t c.coeffs c.rhs);
         ignore (append_le_row t (Vec.neg c.coeffs) (-.c.rhs)));
-      let fuel = ref (budget h) in
+      let fuel = ref (primary_budget h) in
       let result =
         match dual_restore t ~fuel with
         | `Feasible 0 -> `Sat
@@ -699,34 +610,37 @@ module Live = struct
       Counter.incr c_dual_reopt;
       let pivots_before = Counter.value c_dual_pivots in
       let t = h.tab in
-      let cost = internal_cost direction objective in
+      let fail err =
+        h.ok <- false;
+        Counter.incr c_failures;
+        Failed err
+      in
       let result =
         match
-          install_objective t cost;
-          solve_phase t ~rule:`Dantzig ~allowed:(col_allowed t)
-            ~fuel:(ref (budget h))
+          install_objective t (internal_cost direction objective);
+          run_phase t ~allowed:(col_allowed t) ~primary:(primary_budget h)
+            ~budget:(budget h)
         with
         | `Optimal -> (
           match final_solution t with
           | Ok s -> finish direction (Optimal s)
-          | Error detail ->
-            h.ok <- false;
-            Counter.incr c_failures;
-            Failed (Numerical { detail }))
+          | Error detail -> fail (Numerical { detail }))
         | `Unbounded ->
           h.ok <- false;
           finish direction Unbounded
-        | `Budget ->
-          h.ok <- false;
-          Counter.incr c_failures;
-          Failed (Iteration_limit { budget = budget h })
-        | exception Bad_pivot detail ->
-          h.ok <- false;
-          Counter.incr c_failures;
-          Failed (Numerical { detail })
+        | `Budget -> fail (Iteration_limit { budget = budget h })
+        | exception Bad_pivot detail -> fail (Numerical { detail })
       in
       Histogram.observe h_pivots_per_reopt
         (Counter.value c_dual_pivots -. pivots_before);
       result
     end
 end
+
+let solve ?tol ?max_pivots ~n ~objective direction constraints =
+  check_inputs ~n objective constraints;
+  Counter.incr c_solves;
+  match Live.create ?tol ?max_pivots ~n constraints with
+  | `Feasible h -> Live.optimize h ~objective direction
+  | `Infeasible -> Infeasible
+  | `Failed err -> Failed err

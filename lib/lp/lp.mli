@@ -1,5 +1,4 @@
-(** A dense two-phase primal simplex linear-programming solver with an
-    incremental dual-simplex re-optimization path.
+(** A dense dual-simplex linear-programming engine for small problems.
 
     This is the workhorse behind every feasible-utility-region operation in
     the reproduction: emptiness checks after hyperplane updates (Section V),
@@ -15,34 +14,31 @@
     constraints of the three relations [<=], [>=], [=] are supported via
     slack, surplus and artificial variables.
 
-    {b Incremental path.}  The interactive loop refines a region by adding
-    {i one} halfspace at a time — the textbook dual-simplex case.  {!Live}
-    keeps a solved tableau alive across such refinements: {!Live.add_cut}
-    appends the new row, re-expresses it in the current basis and restores
-    primal feasibility by dual pivots (often zero, when the current optimum
-    already satisfies the cut), and {!Live.optimize} re-optimizes any new
-    objective from the current feasible basis without ever re-running
-    phase 1.  Every failure is typed and non-destructive to callers: a
-    handle that cannot continue reports it and the caller falls back to the
-    cold two-phase {!solve}.  The two paths are metered disjointly: every
-    live-tableau pivot (phase-1 setup, cut absorption, re-optimization)
-    counts in ["lp.dual_pivots"] with re-optimizations in
-    ["lp.dual_reopt"] and the ["lp.pivots_per_reopt"] histogram, while
-    cold solves keep ["lp.solves"] / ["lp.iterations"] /
-    ["lp.pivots_per_solve"] to themselves — so ["lp.iterations"] vs
-    ["lp.dual_pivots"] compares the legacy and incremental engines
-    directly.
+    {b One engine.}  The interactive loop refines a region by adding
+    {i one} halfspace at a time — the textbook dual-simplex case.  Every LP
+    runs on a {!Live} tableau: {!Live.create} runs phase 1 once to a
+    feasible basis, {!Live.add_cut} appends a new row, re-expresses it in
+    the current basis and restores primal feasibility by dual pivots (often
+    zero, when the current vertex already satisfies the cut), and
+    {!Live.optimize} re-optimizes any new objective from the current
+    feasible basis without ever re-running phase 1.  {!solve} is the
+    one-shot composition of the two.  Every pivot counts in
+    ["lp.dual_pivots"]; re-optimizations count in ["lp.dual_reopt"] and the
+    ["lp.pivots_per_reopt"] histogram, one-shot solves in ["lp.solves"].
 
-    {b Failure model.}  Every solve runs under a hard pivot budget with the
-    fast Dantzig entering rule; a solve that exhausts it (a degenerate cycle,
-    or the armed [inject.lp_iteration_cap] fault) is rebuilt and rerun under
-    Bland's anti-cycling rule, which provably terminates (counted in
-    ["retry.attempts"]).  A solve that cannot finish even then — budget
-    exhausted again, or a non-finite value in the tableau (guarded at every
-    pivot, at the final solution, and plantable via [inject.lp_nan_pivot]) —
-    returns the typed {!Failed} outcome (counted in ["lp.failures"], with
-    fallback exhaustion in ["retry.exhausted"]) instead of looping or
-    raising. *)
+    {b Failure model.}  Every primal run ({!Live.create}'s phase 1,
+    {!Live.optimize}) works under a hard pivot budget with the fast
+    Dantzig entering rule.  The budget is checked before each pivot, so a
+    run that exhausts it (a degenerate cycle, or the armed
+    [inject.lp_iteration_cap] fault) stops at a feasible basis and
+    continues from it under Bland's anti-cycling rule, which provably
+    terminates (counted in ["retry.attempts"]).  A run that cannot finish
+    even then — budget exhausted again (["retry.exhausted"]), or a
+    non-finite value in the tableau (guarded at every pivot, at the final
+    solution, and plantable via [inject.lp_nan_pivot]) — returns a typed
+    failure (counted in ["lp.failures"]) instead of looping or raising.
+    {!Live.add_cut}'s dual run has no continuation: its typed failure is
+    recovered by the caller rebuilding the tableau with {!Live.create}. *)
 
 module Vec := Indq_linalg.Vec
 
@@ -90,30 +86,15 @@ val solve :
   [ `Minimize | `Maximize ] ->
   constr list ->
   outcome
-(** [solve ~n ~objective dir constraints] runs the cold two-phase primal
-    simplex: phase 1 finds a feasible basis (artificial variables), phase 2
-    optimizes the requested objective.
-
-    [?max_pivots] overrides the pivot budget per attempt (the default is
-    ample for this solver's problem sizes); an exhausted budget triggers
-    the Bland's-rule fallback described in the module header, and {!Failed}
-    only after both attempts exhaust it. *)
-
-val maximize : ?tol:float -> n:int -> objective:Vec.t -> constr list -> outcome
-(** [maximize ~n ~objective constraints] solves
-    [max objective . x  s.t.  constraints, x >= 0] with [n] structural
-    variables.  [tol] (default 1e-9) is the pivoting tolerance.  Raises
-    [Invalid_argument] if any coefficient vector does not have length [n]. *)
-
-val minimize : ?tol:float -> n:int -> objective:Vec.t -> constr list -> outcome
-(** Same, minimizing. *)
-
-val feasible_point : ?tol:float -> n:int -> constr list -> Vec.t option
-(** [feasible_point ~n constraints] is [Some x] for some feasible [x >= 0],
-    or [None] when the system is infeasible. *)
-
-val is_feasible : ?tol:float -> n:int -> constr list -> bool
-(** [feasible_point <> None]. *)
+(** [solve ~n ~objective dir constraints] optimizes
+    [objective . x  s.t.  constraints, x >= 0] from scratch: a one-shot
+    {!Live.create} followed by {!Live.optimize}.  [tol] (default 1e-9) is
+    the pivoting tolerance; [?max_pivots] overrides the pivot budget of
+    each run (the default is ample for this solver's problem sizes).  An
+    exhausted budget triggers the Bland's-rule continuation described in
+    the module header, and {!Failed} only after both rules exhaust it.
+    Raises [Invalid_argument] if any coefficient vector does not have
+    length [n].  Counted in ["lp.solves"]. *)
 
 (** A live simplex tableau kept across one-halfspace refinements.
 
@@ -126,9 +107,10 @@ val is_feasible : ?tol:float -> n:int -> constr list -> bool
 
     Handles are single-domain mutable state and — like every cache in the
     incremental engine — confined behind {!Indq_geom.Polytope} (lint rule
-    IND005).  Values produced by {!optimize} match the cold {!solve} to
-    float round-off but are {b not} guaranteed bit-identical (a different
-    pivot path may land on a different vertex of a degenerate optimal
+    IND005).  Values produced by {!optimize} depend on the pivot path
+    that built the tableau: two tableaux over the same constraints agree
+    to float round-off but are {b not} guaranteed bit-identical (a
+    different path may land on a different vertex of a degenerate optimal
     face), so callers must route them into verdict-grade decisions or
     margin-guarded hints only, never into strict value comparisons. *)
 module Live : sig
@@ -141,8 +123,9 @@ module Live : sig
     constr list ->
     [ `Feasible of t | `Infeasible | `Failed of error ]
   (** Build a tableau over the constraint list and run phase 1 to a
-      feasible basis (Dantzig with the usual budget, Bland retry on
-      exhaustion).  [`Feasible] hands back the live handle. *)
+      feasible basis (Dantzig with the usual budget, continued under Bland
+      on exhaustion).  [`Feasible] hands back the live handle; [`Failed]
+      counts in ["lp.failures"]. *)
 
   val copy : t -> t
   (** Fork the tableau: the copy refines independently.  O(rows·cols). *)
@@ -153,8 +136,7 @@ module Live : sig
   val usable : t -> bool
   (** [false] once an operation failed or reported [Unbounded]: the
       tableau is mid-pivot and every later operation answers [`Failed] /
-      {!Failed} without touching it.  Callers rebuild via {!create} or
-      fall back to {!solve}. *)
+      {!Failed} without touching it.  Callers rebuild via {!create}. *)
 
   val point : t -> Vec.t
   (** The basic solution at the standing basis — a feasible point of the
@@ -168,14 +150,17 @@ module Live : sig
       region is certified non-empty.  [`Reopt k]: feasibility restored
       after [k] dual pivots (region non-empty).  [`Infeasible]: the dual
       ratio test certified the extended system infeasible — the verdict is
-      exact and final, and the handle becomes unusable.  Counted in
-      ["lp.dual_reopt"] / ["lp.dual_pivots"]. *)
+      exact and final, and the handle becomes unusable.  [`Failed]: the
+      dual run exhausted its budget (no Bland continuation here) or hit a
+      non-finite value; the handle becomes unusable and the caller
+      rebuilds.  Counted in ["lp.dual_reopt"] / ["lp.dual_pivots"]. *)
 
   val optimize :
     t -> objective:Vec.t -> [ `Minimize | `Maximize ] -> outcome
   (** Re-optimize a fresh objective from the standing feasible basis
       (phase 2 only, no artificials ever re-enter).  On {!Optimal} the
       handle stands at that optimum, ready for the next {!add_cut} /
-      {!optimize}.  Counted in ["lp.dual_reopt"]; pivots land in
+      {!optimize}.  Dantzig's rule, continued under Bland's on budget
+      exhaustion.  Counted in ["lp.dual_reopt"]; pivots land in
       ["lp.dual_pivots"] and the ["lp.pivots_per_reopt"] histogram. *)
 end

@@ -17,10 +17,12 @@
     Conventional names used across the reproduction (dotted,
     [subsystem.event]):
 
-    - ["lp.solves"], ["lp.iterations"] — simplex runs and pivots;
-    - ["lp.warm_starts"], ["lp.warm_iterations_saved"] — solves that reused
-      a cached optimal basis and skipped phase 1, and the phase-1 pivot
-      count they avoided;
+    - ["lp.dual_pivots"] — every simplex pivot (phase 1, dual cut
+      absorption, re-optimization); ["lp.dual_reopt"] — [Lp.Live] cut
+      absorptions and re-optimizations;
+    - ["lp.solves"] — from-scratch tableau builds outside the canonical
+      replay: one-shot [Lp.solve] calls and polytope rebuilds after a
+      failed replay step; ["lp.failures"] — typed solver failures;
     - ["poly.cache_hits"] — polytope queries answered from cached
       artifacts (memoized extremes, inherited feasibility witnesses,
       hint-skipped directions) instead of fresh LPs;

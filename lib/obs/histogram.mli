@@ -16,8 +16,8 @@
     {!Indq_obs.Obs}).
 
     The histogram catalog (all names appear in DESIGN.md §5):
-    - [lp.pivots_per_solve] — simplex pivots per {!Indq_lp.Lp.solve} call
-      (count unit; deterministic).
+    - [lp.pivots_per_reopt] — simplex pivots per {!Indq_lp.Lp.Live.add_cut}
+      or {!Indq_lp.Lp.Live.optimize} call (count unit; deterministic).
     - [region.halfspaces_per_round] — cuts added per
       [Region.observe] round (count unit; deterministic).
     - [session.round_latency] — wall seconds per interactive

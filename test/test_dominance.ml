@@ -81,23 +81,6 @@ let test_is_dominated_by_any () =
   Alcotest.(check bool) "not dominated" false
     (Skyline.is_dominated_by_any data (Dataset.get data 0))
 
-let test_k_skyband () =
-  let data =
-    Dataset.create
-      [| [| 1.; 1. |]; [| 0.9; 0.9 |]; [| 0.8; 0.8 |]; [| 0.95; 0.1 |] |]
-  in
-  (* Dominance counts: id0 by none, id1 by {0}, id2 by {0,1}, id3 by {0}. *)
-  Alcotest.(check (array int)) "counts" [| 0; 1; 2; 1 |]
-    (Skyline.dominance_counts data);
-  Alcotest.(check (list int)) "1-skyband = skyline" [ 0 ]
-    (ids (Skyline.k_skyband ~k:1 data));
-  Alcotest.(check (list int)) "2-skyband" [ 0; 1; 3 ]
-    (ids (Skyline.k_skyband ~k:2 data));
-  Alcotest.(check (list int)) "3-skyband all" [ 0; 1; 2; 3 ]
-    (ids (Skyline.k_skyband ~k:3 data));
-  Alcotest.check_raises "k guard" (Invalid_argument "Skyline.k_skyband: k must be >= 1")
-    (fun () -> ignore (Skyline.k_skyband ~k:0 data))
-
 let random_dataset rng =
   let n = 1 + Rng.int rng 150 in
   let d = 1 + Rng.int rng 4 in
@@ -327,7 +310,6 @@ let () =
           Alcotest.test_case "sweep 2d guard" `Quick test_sweep_2d_dimension_guard;
           Alcotest.test_case "rtree path counts nodes" `Quick
             test_rtree_path_counts_nodes;
-          Alcotest.test_case "k-skyband" `Quick test_k_skyband;
         ] );
       ( "artifact",
         [

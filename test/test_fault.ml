@@ -1,7 +1,8 @@
 (* Tests for the deterministic fault-injection layer (Indq_fault) and for
    every armed site's recovery path: typed LP failures with the Bland
-   fallback, dataset load errors, oracle contradictions absorbed by the
-   region machinery, and worker-death chunk retries in the pool.
+   continuation and the polytope's tableau rebuild, dataset load errors,
+   oracle contradictions absorbed by the region machinery, and
+   worker-death chunk retries in the pool.
 
    The fault matrix at the bottom is also the CI entry point: the plan seed
    comes from INDQ_FAULT_SEED when set, so the workflow can sweep seeds
@@ -10,6 +11,8 @@
 module Fault = Indq_fault.Fault
 module Counter = Indq_obs.Counter
 module Lp = Indq_lp.Lp
+module Polytope = Indq_geom.Polytope
+module Halfspace = Indq_geom.Halfspace
 module Dataset = Indq_dataset.Dataset
 module Generator = Indq_dataset.Generator
 module Oracle = Indq_user.Oracle
@@ -129,7 +132,7 @@ let test_random_plan_deterministic () =
       | _ -> Alcotest.fail "random plans arm Once triggers")
     p1.Fault.arms
 
-(* --- LP: budget exhaustion, Bland fallback, typed failures ------------- *)
+(* --- LP: budget exhaustion, Bland continuation, typed failures ---------- *)
 
 let lp_constraints =
   [
@@ -158,7 +161,7 @@ let test_lp_iteration_cap_recovers () =
       s.Lp.objective;
     Alcotest.(check (array (float 0.))) "same point"
       (Vec.to_array clean.Lp.point) (Vec.to_array s.Lp.point)
-  | _ -> Alcotest.fail "Bland fallback must recover the optimum");
+  | _ -> Alcotest.fail "Bland continuation must recover the optimum");
   check_delta "one injection" 1. (delta "fault.injected");
   check_delta "one fallback" 1. (delta "retry.attempts");
   check_delta "not exhausted" 0. (delta "retry.exhausted");
@@ -185,10 +188,38 @@ let test_lp_budget_exhaustion_typed () =
   check_delta "fallback tried" 1. (delta "retry.attempts");
   check_delta "fallback exhausted" 1. (delta "retry.exhausted");
   check_delta "one failure" 1. (delta "lp.failures");
-  check_delta "no injection" 0. (delta "fault.injected");
-  (* feasible_point treats Failed as unknown, not as infeasible. *)
-  Alcotest.(check bool) "feasible_point unknown" true
-    (Lp.feasible_point ~n:2 lp_constraints <> None)
+  check_delta "no injection" 0. (delta "fault.injected")
+
+(* A failed replay step is rebuilt, not guessed: with the cap armed, the
+   first [add_cut] of the region's cut chain (x1 >= 1/4 is violated at the
+   root vertex, so it needs a dual pivot) exhausts its collapsed budget,
+   and the polytope rebuilds that node's tableau from its full constraint
+   list.  The cuts are dyadic, so every extreme is exact on either
+   tableau and the region must answer bit for bit as when unfaulted. *)
+let test_replay_failure_rebuilds () =
+  let cuts =
+    [ Halfspace.ge (vec [| 0.; 1.; 0. |]) 0.25;
+      Halfspace.ge (vec [| 0.; 0.; 1. |]) 0.125 ]
+  in
+  let answers () =
+    let r = Polytope.cut_many (Polytope.simplex 3) cuts in
+    ( Polytope.is_empty r,
+      Polytope.coordinate_bounds r,
+      Polytope.width r,
+      Polytope.diameter r )
+  in
+  let clean = answers () in
+  let solves_before = Counter.get "lp.solves" in
+  let faulted, delta =
+    counted (fun () ->
+        Fault.with_plan
+          (Fault.plan [ ("inject.lp_iteration_cap", Fault.Once 1) ])
+          answers)
+  in
+  Alcotest.(check bool) "same answers" true (faulted = clean);
+  check_delta "one injection" 1. (delta "fault.injected");
+  check_delta "one rebuild" 1. (Counter.get "lp.solves" -. solves_before);
+  check_delta "no failure" 0. (delta "lp.failures")
 
 let test_lp_error_messages () =
   Alcotest.(check bool) "iteration message" true
@@ -522,6 +553,8 @@ let () =
           Alcotest.test_case "budget exhaustion typed" `Quick
             test_lp_budget_exhaustion_typed;
           Alcotest.test_case "error messages" `Quick test_lp_error_messages;
+          Alcotest.test_case "replay failure rebuilds" `Quick
+            test_replay_failure_rebuilds;
         ] );
       ( "dataset",
         [ Alcotest.test_case "load injection" `Quick test_dataset_load_injection ] );

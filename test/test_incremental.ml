@@ -1,12 +1,14 @@
-(* Equivalence of the incremental geometry engine against the cold path.
+(* Equivalence properties of the cached geometry engine.
 
-   The refactor's contract: warm-started LPs, cached-artifact revalidation
-   and the cross-round prune store change only counters and wall time.
-   These properties run the same interaction twice — incremental engine on
-   and off — and demand identical outputs, question counts and regions
-   across random datasets, configurations and display-pool sizes. *)
+   Its contract: per-region memos, inherited hints, the doom-test abort and
+   the cross-round prune store change only counters and wall time, never
+   answers.  Each property computes the same thing twice — once through
+   the caches or shortcut, once without them — and demands identical
+   results, with no global switch: a region chain whose ancestors were all
+   queried against the same cut list built fresh and queried only at the
+   leaf, display-set scoring with and without [stop_above], and pruning
+   with and without a store. *)
 
-module Algo = Indq_core.Algo
 module Real_points = Indq_core.Real_points
 module Pruning = Indq_core.Pruning
 module Region = Indq_core.Region
@@ -16,87 +18,23 @@ module Generator = Indq_dataset.Generator
 module Polytope = Indq_geom.Polytope
 module Halfspace = Indq_geom.Halfspace
 module Utility = Indq_user.Utility
-module Oracle = Indq_user.Oracle
 module Rng = Indq_util.Rng
 module Vec = Indq_linalg.Vec
-
-(* Run [f] with the incremental engine forced to [enabled], restoring the
-   ambient setting even on exceptions. *)
-let with_incremental enabled f =
-  let before = Polytope.incremental_enabled () in
-  Polytope.set_incremental enabled;
-  Fun.protect ~finally:(fun () -> Polytope.set_incremental before) f
 
 let ids data =
   Dataset.tuples data |> Array.to_list
   |> List.map Tuple.id
   |> List.sort compare
 
-let run_once ~seed ~n ~d ~s ~q ~eps ~trials strategy =
-  let rng = Rng.create seed in
-  let data = Generator.independent rng ~n ~d in
-  let u = Utility.random rng ~d in
-  let oracle = Oracle.exact u in
-  let result =
-    Real_points.run ~trials strategy ~data ~s ~q ~eps ~oracle
-      ~rng:(Rng.split rng)
-  in
-  ( ids result.Real_points.output,
-    result.Real_points.questions_used,
-    List.length
-      (Polytope.halfspaces (Region.polytope result.Real_points.region)) )
-
-let prop_incremental_matches_cold =
-  QCheck2.Test.make ~count:20
-    ~name:"incremental engine: identical runs with caching on and off"
-    QCheck2.Gen.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let d = 2 + Rng.int rng 2 in
-      let n = 25 + Rng.int rng 40 in
-      let s = 2 + Rng.int rng (d - 1) in
-      let q = d + Rng.int rng (2 * d) in
-      let eps = 0.02 +. Rng.float rng 0.15 in
-      let trials = 1 + Rng.int rng 4 in
-      List.for_all
-        (fun strategy ->
-          let go enabled =
-            with_incremental enabled (fun () ->
-                run_once ~seed ~n ~d ~s ~q ~eps ~trials strategy)
-          in
-          go true = go false)
-        Real_points.[ Random; MinR; MinD ])
-
-(* The same check through the full dispatcher, exercising Squeeze-u's
-   box pruning next to the region-based algorithms. *)
-let prop_algo_matches_cold =
-  QCheck2.Test.make ~count:10
-    ~name:"incremental engine: Algo.run outputs unchanged"
-    QCheck2.Gen.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let d = 2 + Rng.int rng 2 in
-      let data = Generator.independent rng ~n:(30 + Rng.int rng 30) ~d in
-      let u = Utility.random rng ~d in
-      let config = { (Algo.default_config ~d) with Algo.trials = 2 } in
-      List.for_all
-        (fun name ->
-          let go enabled =
-            with_incremental enabled (fun () ->
-                let oracle = Oracle.exact u in
-                let result =
-                  Algo.run name config ~data ~oracle ~rng:(Rng.create (seed + 1))
-                in
-                (ids result.Algo.output, result.Algo.questions_used))
-          in
-          go true = go false)
-        Algo.all)
-
-(* Geometry-level equivalence: verdicts and canonical artifacts match
-   exactly; value-grade metrics match to round-off. *)
-let prop_polytope_matches_cold =
+(* Geometry-level equivalence: a leaf whose ancestors were all queried
+   first inherits their memoized pairs, feasibility witnesses and fold
+   hints; the same cut list built fresh and queried only at the leaf has
+   none of them.  Every answer is a pure function of the cut list, so
+   verdicts and values must agree bit for bit — also on a second round of
+   queries that hits the leaf's own memos. *)
+let prop_polytope_warm_matches_fresh =
   QCheck2.Test.make ~count:50
-    ~name:"polytope queries: cached vs cold"
+    ~name:"polytope queries: warmed vs fresh"
     QCheck2.Gen.(int_bound 100000)
     (fun seed ->
       let rng = Rng.create seed in
@@ -110,38 +48,89 @@ let prop_polytope_matches_cold =
             in
             Halfspace.ge normal (Rng.float rng 0.4 -. 0.2))
       in
-      let query enabled =
-        with_incremental enabled (fun () ->
-            let r = Polytope.cut_many (Polytope.simplex d) cuts in
-            (* Query twice so the second round hits the caches. *)
-            let probe () =
-              if Polytope.is_empty r then None
-              else
-                Some
-                  ( Polytope.coordinate_bounds r,
-                    Polytope.center_estimate r,
-                    Polytope.width r,
-                    Polytope.diameter r )
-            in
-            let first = probe () in
-            let second = probe () in
-            (first, second))
+      let probe r =
+        if Polytope.is_empty r then None
+        else
+          Some
+            ( Polytope.coordinate_bounds r,
+              Vec.to_array (Polytope.center_estimate r),
+              Polytope.width r,
+              Polytope.diameter r )
       in
-      let approx (b1, c1, w1, d1) (b2, c2, w2, d2) =
-        let close x y = Float.abs (x -. y) <= 1e-7 in
-        Array.for_all2 (fun (l1, h1) (l2, h2) -> close l1 l2 && close h1 h2) b1 b2
-        && Vec.approx_equal ~tol:1e-7 c1 c2
-        && close w1 w2 && close d1 d2
+      let warmed =
+        List.fold_left
+          (fun r h ->
+            ignore (probe r);
+            Polytope.cut r h)
+          (Polytope.simplex d) cuts
       in
-      let pair_ok a b =
-        match (a, b) with
-        | None, None -> true
-        | Some x, Some y -> approx x y
-        | _ -> false
+      let fresh = Polytope.cut_many (Polytope.simplex d) cuts in
+      let w1 = probe warmed in
+      let f1 = probe fresh in
+      let w2 = probe warmed in
+      let f2 = probe fresh in
+      w1 = f1 && w2 = f2 && w1 = w2)
+
+(* The doom-test abort is decision-exact: replaying the display pick's
+   trial loop with [stop_above] set to the best score so far picks the
+   same winner, with the same score, as scoring every trial in full.  The
+   two loops run on separately built (equal) regions so neither sees the
+   other's memos. *)
+let prop_stop_above_same_winner =
+  QCheck2.Test.make ~count:20
+    ~name:"stop_above picks the same winner"
+    QCheck2.Gen.(int_bound 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let d = 2 + Rng.int rng 3 in
+      let data = Generator.independent rng ~n:(20 + Rng.int rng 30) ~d in
+      let u = Utility.random rng ~d in
+      let answers =
+        List.init (1 + Rng.int rng 3) (fun _ ->
+            let a = Vec.init d (fun _ -> Rng.float rng 1.) in
+            let b = Vec.init d (fun _ -> Rng.float rng 1.) in
+            if Utility.value u a >= Utility.value u b then (a, [ b ])
+            else (b, [ a ]))
       in
-      let warm1, warm2 = query true in
-      let cold1, cold2 = query false in
-      pair_ok warm1 cold1 && pair_ok warm2 cold2 && pair_ok warm1 warm2)
+      let region () =
+        List.fold_left
+          (fun r (winner, losers) ->
+            let updated = Region.observe r ~winner ~losers in
+            if Region.is_empty updated then r else updated)
+          (Region.initial ~d) answers
+      in
+      let s = 2 + Rng.int rng 2 in
+      let displays =
+        List.init
+          (2 + Rng.int rng 6)
+          (fun _ ->
+            Array.map (Dataset.get data)
+              (Rng.sample_positions_without_replacement rng s
+                 (Dataset.size data)))
+      in
+      List.for_all
+        (fun metric ->
+          (* Index and score of the first strict minimum, as the display
+             pick's [score < best] loop keeps it. *)
+          let pick score_of =
+            match displays with
+            | [] -> assert false
+            | first :: rest ->
+              let best = ref (0, score_of None first) in
+              List.iteri
+                (fun i display ->
+                  let score = score_of (Some (snd !best)) display in
+                  if score < snd !best then best := (i + 1, score))
+                rest;
+              !best
+          in
+          let full = region () and pruned = region () in
+          pick (fun _ display ->
+              Real_points.score_display_set ~delta:0. ~metric full display)
+          = pick (fun stop_above display ->
+                Real_points.score_display_set ?stop_above ~delta:0. ~metric
+                  pruned display))
+        [ `Width; `Diameter ])
 
 (* The prune store must never change which candidates survive a round
    sequence — only how many LPs are issued. *)
@@ -183,9 +172,8 @@ let () =
     [
       ( "equivalence",
         [
-          QCheck_alcotest.to_alcotest prop_incremental_matches_cold;
-          QCheck_alcotest.to_alcotest prop_algo_matches_cold;
-          QCheck_alcotest.to_alcotest prop_polytope_matches_cold;
+          QCheck_alcotest.to_alcotest prop_stop_above_same_winner;
+          QCheck_alcotest.to_alcotest prop_polytope_warm_matches_fresh;
           QCheck_alcotest.to_alcotest prop_store_preserves_prune_decisions;
         ] );
     ]

@@ -1,4 +1,7 @@
-(* Unit and property tests for the two-phase simplex LP solver. *)
+(* Unit and property tests for the dual-simplex LP engine: one-shot
+   [Lp.solve] cases, [Lp.Live] handles, and properties checked against a
+   brute-force vertex-enumeration oracle that shares no code with the
+   engine. *)
 
 module Lp = Indq_lp.Lp
 module Rng = Indq_util.Rng
@@ -8,15 +11,19 @@ let vec = Vec.of_array
 
 let check_float = Alcotest.(check (float 1e-6))
 
+let maximize ~n ~objective cs = Lp.solve ~n ~objective `Maximize cs
+
+let minimize ~n ~objective cs = Lp.solve ~n ~objective `Minimize cs
+
 let solve_max ~n ~objective cs =
-  match Lp.maximize ~n ~objective cs with
+  match maximize ~n ~objective cs with
   | Lp.Optimal s -> s
   | Lp.Infeasible -> Alcotest.fail "unexpected infeasible"
   | Lp.Unbounded -> Alcotest.fail "unexpected unbounded"
   | Lp.Failed e -> Alcotest.fail ("unexpected failure: " ^ Lp.error_message e)
 
 let solve_min ~n ~objective cs =
-  match Lp.minimize ~n ~objective cs with
+  match minimize ~n ~objective cs with
   | Lp.Optimal s -> s
   | Lp.Infeasible -> Alcotest.fail "unexpected infeasible"
   | Lp.Unbounded -> Alcotest.fail "unexpected unbounded"
@@ -53,23 +60,23 @@ let test_infeasible () =
   let cs =
     [ Lp.constr (vec [| 1.; 1. |]) Lp.Le 1.; Lp.constr (vec [| 1.; 1. |]) Lp.Ge 2. ]
   in
-  match Lp.maximize ~n:2 ~objective:(vec [| 1.; 0. |]) cs with
+  match maximize ~n:2 ~objective:(vec [| 1.; 0. |]) cs with
   | Lp.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
 let test_unbounded () =
   let cs = [ Lp.constr (vec [| 1.; -1. |]) Lp.Le 1. ] in
-  match Lp.maximize ~n:2 ~objective:(vec [| 1.; 1. |]) cs with
+  match maximize ~n:2 ~objective:(vec [| 1.; 1. |]) cs with
   | Lp.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
 let test_no_constraints_min () =
-  match Lp.minimize ~n:3 ~objective:(vec [| 1.; 2.; 3. |]) [] with
+  match minimize ~n:3 ~objective:(vec [| 1.; 2.; 3. |]) [] with
   | Lp.Optimal s -> check_float "value" 0. s.objective
   | _ -> Alcotest.fail "expected optimal at origin"
 
 let test_no_constraints_unbounded () =
-  match Lp.maximize ~n:2 ~objective:(vec [| 1.; 0. |]) [] with
+  match maximize ~n:2 ~objective:(vec [| 1.; 0. |]) [] with
   | Lp.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
@@ -117,11 +124,12 @@ let test_feasible_point () =
   let cs =
     [ Lp.constr (vec [| 1.; 1. |]) Lp.Eq 1.; Lp.constr (vec [| 1.; -1. |]) Lp.Ge 0. ]
   in
-  match Lp.feasible_point ~n:2 cs with
-  | Some p ->
+  match Lp.Live.create ~n:2 cs with
+  | `Feasible h ->
+    let p = Lp.Live.point h in
     check_float "sum" 1. (Vec.get p 0 +. Vec.get p 1);
     Alcotest.(check bool) "x >= y" true (Vec.get p 0 >= Vec.get p 1 -. 1e-9)
-  | None -> Alcotest.fail "should be feasible"
+  | `Infeasible | `Failed _ -> Alcotest.fail "should be feasible"
 
 let test_ge_with_positive_rhs () =
   (* Exercises the artificial-variable path (Ge rows with rhs > 0 cannot be
@@ -154,10 +162,10 @@ let test_zero_rhs_ge_rewrite () =
 
 let test_invalid_inputs () =
   Alcotest.check_raises "bad objective length" (Invalid_argument "Lp: objective length <> n")
-    (fun () -> ignore (Lp.maximize ~n:2 ~objective:(vec [| 1. |]) []));
+    (fun () -> ignore (maximize ~n:2 ~objective:(vec [| 1. |]) []));
   Alcotest.check_raises "bad constraint length"
     (Invalid_argument "Lp: constraint coefficient length <> n") (fun () ->
-      ignore (Lp.maximize ~n:2 ~objective:(vec [| 1.; 1. |]) [ Lp.constr (vec [| 1. |]) Lp.Le 1. ]))
+      ignore (maximize ~n:2 ~objective:(vec [| 1.; 1. |]) [ Lp.constr (vec [| 1. |]) Lp.Le 1. ]))
 
 (* Property: on random bounded problems, the reported optimum is feasible and
    no random feasible point beats it. *)
@@ -184,7 +192,7 @@ let prop_optimal_dominates_samples =
     (fun seed ->
       let rng = Rng.create seed in
       let n, objective, cs = random_bounded_problem rng in
-      match Lp.maximize ~n ~objective cs with
+      match maximize ~n ~objective cs with
       | Lp.Unbounded -> false (* impossible: box-bounded *)
       | Lp.Infeasible -> false (* impossible: origin feasible *)
       | Lp.Failed _ -> false (* impossible: tiny well-posed problem *)
@@ -212,15 +220,100 @@ let prop_optimal_dominates_samples =
           !ok
         end)
 
-(* The live dual-simplex path must change cost, never answers: optimizing
-   any bounded problem through a Live handle returns the same verdict and
-   an equal optimum as the cold two-phase solve, both before and after
-   adding one halfspace the dual-simplex way. *)
+(* Brute-force reference: the optimum of a bounded LP over [x >= 0] is
+   attained at a vertex, and every vertex is a basic solution — the
+   intersection of [n] linearly independent hyperplanes drawn from the
+   constraint rows (as equalities) and the bounds [x_i = 0].  Enumerate
+   every such [n]-subset, solve it by Gaussian elimination with partial
+   pivoting, keep the feasible points and take the best.  Exponential, so
+   only for n <= 4 and a dozen rows; no simplex code is shared with the
+   engine under test. *)
+let solve_dense a b =
+  let n = Array.length b in
+  let a = Array.map Array.copy a and b = Array.copy b in
+  let exception Singular in
+  try
+    for col = 0 to n - 1 do
+      let p = ref col in
+      for r = col + 1 to n - 1 do
+        if Float.abs a.(r).(col) > Float.abs a.(!p).(col) then p := r
+      done;
+      if Float.abs a.(!p).(col) < 1e-10 then raise Singular;
+      let tmp = a.(col) in
+      a.(col) <- a.(!p);
+      a.(!p) <- tmp;
+      let tb = b.(col) in
+      b.(col) <- b.(!p);
+      b.(!p) <- tb;
+      for r = 0 to n - 1 do
+        if r <> col then begin
+          let f = a.(r).(col) /. a.(col).(col) in
+          for c = col to n - 1 do
+            a.(r).(c) <- a.(r).(c) -. (f *. a.(col).(c))
+          done;
+          b.(r) <- b.(r) -. (f *. b.(col))
+        end
+      done
+    done;
+    Some (Array.init n (fun i -> b.(i) /. a.(i).(i)))
+  with Singular -> None
+
+let brute_force_max ~n ~objective cs =
+  let tol = 1e-7 in
+  let dot coeffs x =
+    let acc = ref 0. in
+    Array.iteri (fun i xi -> acc := !acc +. (Vec.get coeffs i *. xi)) x;
+    !acc
+  in
+  let feasible x =
+    Array.for_all (fun xi -> xi >= -.tol) x
+    && List.for_all
+         (fun (c : Lp.constr) ->
+           let v = dot c.coeffs x in
+           match c.relation with
+           | Lp.Le -> v <= c.rhs +. tol
+           | Lp.Ge -> v >= c.rhs -. tol
+           | Lp.Eq -> Float.abs (v -. c.rhs) <= tol)
+         cs
+  in
+  let hyperplanes =
+    Array.of_list
+      (List.map
+         (fun (c : Lp.constr) -> (Array.init n (Vec.get c.coeffs), c.rhs))
+         cs
+      @ List.init n (fun i -> (Array.init n (fun j -> if i = j then 1. else 0.), 0.)))
+  in
+  let best = ref None in
+  let rec choose start picked k =
+    if k = 0 then begin
+      let rows = Array.of_list (List.rev picked) in
+      match
+        solve_dense
+          (Array.map (fun i -> fst hyperplanes.(i)) rows)
+          (Array.map (fun i -> snd hyperplanes.(i)) rows)
+      with
+      | Some x when feasible x ->
+        let v = dot objective x in
+        (match !best with Some b when b >= v -> () | _ -> best := Some v)
+      | _ -> ()
+    end
+    else
+      for i = start to Array.length hyperplanes - k do
+        choose (i + 1) (i :: picked) (k - 1)
+      done
+  in
+  choose 0 [] n;
+  !best
+
+(* The live dual-simplex path against the oracle: optimizing any bounded
+   problem through a Live handle returns the same verdict and optimum as
+   vertex enumeration, both before and after adding one halfspace the
+   dual-simplex way. *)
 let random_extra_cut rng n =
   let coeffs = Vec.init n (fun _ -> Rng.in_range rng (-0.5) 1.) in
   Lp.constr coeffs Lp.Le (Rng.in_range rng (-0.05) 0.4)
 
-let prop_live_matches_cold =
+let prop_live_matches_brute_force =
   QCheck2.Test.make ~count:80 ~name:"live optimize: same verdict and optimum"
     QCheck2.Gen.(int_bound 100000)
     (fun seed ->
@@ -229,14 +322,15 @@ let prop_live_matches_cold =
       match Lp.Live.create ~n cs with
       | `Infeasible | `Failed _ -> false (* impossible: origin feasible *)
       | `Feasible h -> (
-        match (Lp.Live.optimize h ~objective `Maximize, Lp.maximize ~n ~objective cs) with
-        | Lp.Optimal live, Lp.Optimal cold ->
-          Float.abs (live.objective -. cold.objective) < 1e-6
+        match
+          (Lp.Live.optimize h ~objective `Maximize, brute_force_max ~n ~objective cs)
+        with
+        | Lp.Optimal live, Some best -> Float.abs (live.objective -. best) < 1e-6
         | _ -> false))
 
-let prop_add_cut_matches_cold =
+let prop_add_cut_matches_brute_force =
   QCheck2.Test.make ~count:80
-    ~name:"live add_cut: dual verdict and optimum match the cold solve"
+    ~name:"live add_cut: dual verdict and optimum match brute force"
     QCheck2.Gen.(int_bound 100000)
     (fun seed ->
       let rng = Rng.create seed in
@@ -248,13 +342,12 @@ let prop_add_cut_matches_cold =
       | `Feasible h -> (
         match Lp.Live.optimize h ~objective `Maximize with
         | Lp.Optimal _ -> (
-          match (Lp.Live.add_cut h cut, Lp.maximize ~n ~objective cs') with
-          | (`Sat | `Reopt _), Lp.Optimal cold -> (
+          match (Lp.Live.add_cut h cut, brute_force_max ~n ~objective cs') with
+          | (`Sat | `Reopt _), Some best -> (
             match Lp.Live.optimize h ~objective `Maximize with
-            | Lp.Optimal live ->
-              Float.abs (live.objective -. cold.objective) < 1e-6
+            | Lp.Optimal live -> Float.abs (live.objective -. best) < 1e-6
             | _ -> false)
-          | `Infeasible, Lp.Infeasible -> true
+          | `Infeasible, None -> true
           | _ -> false)
         | _ -> false))
 
@@ -315,7 +408,7 @@ let prop_minimize_is_negated_maximize =
       let rng = Rng.create seed in
       let n, objective, cs = random_bounded_problem rng in
       let neg = Vec.neg objective in
-      match (Lp.minimize ~n ~objective cs, Lp.maximize ~n ~objective:neg cs) with
+      match (minimize ~n ~objective cs, maximize ~n ~objective:neg cs) with
       | Lp.Optimal a, Lp.Optimal b -> Float.abs (a.objective +. b.objective) < 1e-6
       | Lp.Infeasible, Lp.Infeasible -> true
       | Lp.Unbounded, Lp.Unbounded -> true
@@ -349,8 +442,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_optimal_dominates_samples;
           QCheck_alcotest.to_alcotest prop_minimize_is_negated_maximize;
-          QCheck_alcotest.to_alcotest prop_live_matches_cold;
-          QCheck_alcotest.to_alcotest prop_add_cut_matches_cold;
+          QCheck_alcotest.to_alcotest prop_live_matches_brute_force;
+          QCheck_alcotest.to_alcotest prop_add_cut_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_live_replay_bit_equal;
         ] );
     ]

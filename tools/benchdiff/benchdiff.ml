@@ -245,7 +245,7 @@ let compare_time ~tol ~gate_times ~path ~what base cur acc =
 let union_keys a b =
   List.sort_uniq String.compare (obj_keys a @ obj_keys b)
 
-(* [critical] counters (e.g. lp.iterations, lp.dual_pivots) are the
+(* [critical] counters (e.g. lp.dual_pivots, rtree.nodes_visited) are the
    quantities the perf-gate exists to protect: a critical counter present
    on only one side is a Mismatch, not a Note — otherwise a baseline that
    predates the counter (or a current run that silently dropped it) would

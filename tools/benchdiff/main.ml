@@ -4,8 +4,8 @@
      benchdiff [-time-tol R] [-gate-times] [-strict] [-critical NAME]
                [-no-critical] BASELINE.json CURRENT.json
 
-   Critical counters (default: lp.iterations and lp.dual_pivots — the LP
-   work the dual-simplex refactor exists to reduce — plus
+   Critical counters (default: lp.dual_pivots — every simplex pivot, the
+   LP work the dual-simplex engine exists to reduce — plus
    rtree.nodes_visited and the skyline.path_* dispatch counters from the
    columnar data tier) hard-fail when present on only one side, so a
    stale baseline cannot un-gate them.
@@ -22,11 +22,10 @@ let usage =
 
 let default_critical =
   [
-    "lp.iterations";
     "lp.dual_pivots";
     (* The columnar-tier wins: Strtree traversal volume and the skyline
        path dispatch (sweep / SFS / store).  Critical for the
-       same reason as the LP pair — losing one from a report means the
+       same reason as the LP pivots — losing one from a report means the
        optimization it measures silently stopped being exercised. *)
     "rtree.nodes_visited";
     "skyline.path_sweep";
@@ -70,7 +69,7 @@ let () =
       ( "-critical",
         Arg.String (fun name -> critical := name :: !critical),
         "NAME counter whose one-sided absence is a gate failure (repeatable; \
-         default lp.iterations, lp.dual_pivots)" );
+         default lp.dual_pivots and the columnar-tier counters)" );
       ( "-no-critical",
         Arg.Unit (fun () -> critical := []),
         " clear the critical-counter set (including the defaults)" );
