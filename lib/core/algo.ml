@@ -49,13 +49,13 @@ let of_string s =
   | "minr" -> MinR
   | other -> invalid_arg ("Algo.of_string: unknown algorithm " ^ other)
 
-let run_traced name config ~data ~oracle ~rng =
+let run_traced ?source_n name config ~data ~oracle ~rng =
   let { s; q; eps; delta; trials; exact_prune } = config in
   Trace.emit_with (fun () ->
       Trace.Run_started
         {
           algo = to_string name;
-          n = Dataset.size data;
+          n = Option.value source_n ~default:(Dataset.size data);
           d = Dataset.dim data;
           s;
           q;
@@ -69,27 +69,32 @@ let run_traced name config ~data ~oracle ~rng =
     | Squeeze_u ->
       if delta > 0. then begin
         let r =
-          Squeeze_u2.run ~exact_prune ~data ~s ~q ~eps ~delta ~oracle ()
+          Squeeze_u2.run ~exact_prune ?source_n ~data ~s ~q ~eps ~delta
+            ~oracle ()
         in
         (r.Squeeze_u2.output, r.Squeeze_u2.questions_used)
       end
       else begin
-        let r = Squeeze_u.run ~exact_prune ~data ~s ~q ~eps ~oracle () in
+        let r =
+          Squeeze_u.run ~exact_prune ?source_n ~data ~s ~q ~eps ~oracle ()
+        in
         (r.Squeeze_u.output, r.Squeeze_u.questions_used)
       end
     | Uh_random ->
-      let r = Real_points.uh_random ~delta ~data ~s ~q ~eps ~oracle ~rng () in
+      let r =
+        Real_points.uh_random ~delta ?source_n ~data ~s ~q ~eps ~oracle ~rng ()
+      in
       (r.Real_points.output, r.Real_points.questions_used)
     | MinD ->
       let r =
-        Real_points.run ~delta ~trials Real_points.MinD ~data ~s ~q ~eps
-          ~oracle ~rng
+        Real_points.run ~delta ~trials ?source_n Real_points.MinD ~data ~s ~q
+          ~eps ~oracle ~rng
       in
       (r.Real_points.output, r.Real_points.questions_used)
     | MinR ->
       let r =
-        Real_points.run ~delta ~trials Real_points.MinR ~data ~s ~q ~eps
-          ~oracle ~rng
+        Real_points.run ~delta ~trials ?source_n Real_points.MinR ~data ~s ~q
+          ~eps ~oracle ~rng
       in
       (r.Real_points.output, r.Real_points.questions_used)
   in
@@ -101,8 +106,9 @@ let run_traced name config ~data ~oracle ~rng =
         { questions = questions_used; output = Dataset.size output; seconds });
   { output; questions_used; seconds; metrics; hists }
 
-let run ?trace name config ~data ~oracle ~rng =
+let run ?trace ?source_n name config ~data ~oracle ~rng =
   match trace with
-  | None -> run_traced name config ~data ~oracle ~rng
+  | None -> run_traced ?source_n name config ~data ~oracle ~rng
   | Some sink ->
-    Trace.with_sink sink (fun () -> run_traced name config ~data ~oracle ~rng)
+    Trace.with_sink sink (fun () ->
+        run_traced ?source_n name config ~data ~oracle ~rng)

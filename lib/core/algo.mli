@@ -51,6 +51,7 @@ val of_string : string -> name
 
 val run :
   ?trace:Indq_obs.Trace.sink ->
+  ?source_n:int ->
   name ->
   config ->
   data:Indq_dataset.Dataset.t ->
@@ -60,6 +61,13 @@ val run :
 (** Execute one algorithm once.  The [rng] drives only algorithmic
     randomness (display-set sampling); user error randomness lives inside
     the oracle.
+
+    [source_n] declares [data] to be the (1+eps)-skyline at [config.eps]
+    (Observation 3) of a [source_n]-row catalogue — e.g. one shared by
+    many runs over the same catalogue: Line 1 is skipped, and the
+    [Run_started] and ["skyline"] [Prune_stage] trace events report
+    [source_n] rows, exactly as the run on the whole catalogue would.
+    The result is identical to that run's: the filter is deterministic.
 
     The run's whole execution context is explicit: the user via [oracle],
     randomness via [rng], and tracing via [trace] — when given, the sink

@@ -32,6 +32,7 @@ val uh_random :
   ?delta:float ->
   ?anchors:int ->
   ?store:Pruning.Store.t ->
+  ?source_n:int ->
   data:Indq_dataset.Dataset.t ->
   s:int ->
   q:int ->

@@ -24,6 +24,11 @@ let emit_stage ~stage ~before result =
       Trace.Prune_stage { stage; before; after = Dataset.size result });
   result
 
+let skyline_stage ?source_n data prune =
+  match source_n with
+  | Some before -> emit_stage ~stage:"skyline" ~before data
+  | None -> emit_stage ~stage:"skyline" ~before:(Dataset.size data) (prune data)
+
 let check_box ~lo ~hi d =
   if Vec.dim lo <> d || Vec.dim hi <> d then
     invalid_arg "Pruning: bound dimension mismatch";

@@ -23,6 +23,18 @@
     dot product per cut to check — so most re-tests cost no LP at all
     (counted in ["prune.store_hits"]). *)
 
+val skyline_stage :
+  ?source_n:int ->
+  Indq_dataset.Dataset.t ->
+  (Indq_dataset.Dataset.t -> Indq_dataset.Dataset.t) ->
+  Indq_dataset.Dataset.t
+(** Line 1 of Algorithms 1–3: [skyline_stage data prune] is [prune data]
+    (the caller's timed Observation 3 filter), reported as the
+    ["skyline"] prune stage.  With [source_n], [data] already {e is} that
+    filter's output for a [source_n]-row catalogue: [prune] is skipped and
+    the stage reports [source_n] rows in, exactly as the unfiltered run
+    would. *)
+
 val box_prune_fast :
   eps:float ->
   lo:Indq_linalg.Vec.t ->

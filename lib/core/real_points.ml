@@ -149,8 +149,8 @@ let pick_display ~strategy ~trials ~delta ~rng region candidates s =
     done;
     (!best, !best_posts)
 
-let run ?(delta = 0.) ?(trials = 10) ?(anchors = 4) ?store strategy ~data ~s ~q
-    ~eps ~oracle ~rng =
+let run ?(delta = 0.) ?(trials = 10) ?(anchors = 4) ?store ?source_n strategy
+    ~data ~s ~q ~eps ~oracle ~rng =
   if s < 2 then invalid_arg "Real_points.run: s must be >= 2";
   if q < 0 then invalid_arg "Real_points.run: negative question budget";
   if eps <= 0. then invalid_arg "Real_points.run: eps must be positive";
@@ -162,16 +162,10 @@ let run ?(delta = 0.) ?(trials = 10) ?(anchors = 4) ?store strategy ~data ~s ~q
   (* Line 1: Observation 3 pre-filter. *)
   let candidates =
     ref
-      (Span.timed "real_points.skyline" (fun () ->
-           Skyline.prune_eps_dominated ~eps data))
+      (Pruning.skyline_stage ?source_n data (fun data ->
+           Span.timed "real_points.skyline" (fun () ->
+               Skyline.prune_eps_dominated ~eps data)))
   in
-  Trace.emit_with (fun () ->
-      Trace.Prune_stage
-        {
-          stage = "skyline";
-          before = Dataset.size data;
-          after = Dataset.size !candidates;
-        });
   let region = ref (Region.initial ~d) in
   (* One certificate store for the whole interaction: the region only
      shrinks across rounds, so prune certificates carry over (see
@@ -244,5 +238,6 @@ let run ?(delta = 0.) ?(trials = 10) ?(anchors = 4) ?store strategy ~data ~s ~q
     questions_used = Oracle.questions_asked oracle - questions_before;
   }
 
-let uh_random ?delta ?anchors ?store ~data ~s ~q ~eps ~oracle ~rng () =
-  run ?delta ?anchors ?store Random ~data ~s ~q ~eps ~oracle ~rng
+let uh_random ?delta ?anchors ?store ?source_n ~data ~s ~q ~eps ~oracle ~rng ()
+    =
+  run ?delta ?anchors ?store ?source_n Random ~data ~s ~q ~eps ~oracle ~rng

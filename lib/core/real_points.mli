@@ -30,6 +30,7 @@ val run :
   ?trials:int ->
   ?anchors:int ->
   ?store:Pruning.Store.t ->
+  ?source_n:int ->
   strategy ->
   data:Indq_dataset.Dataset.t ->
   s:int ->
@@ -46,7 +47,9 @@ val run :
     pruning (see {!Pruning.region_prune}).  [store] (default: a fresh one
     per call) carries Lemma 2 certificates across the rounds; supply your
     own only to share it across runs over the {i same} shrinking region,
-    e.g. when resuming an interaction.
+    e.g. when resuming an interaction.  [source_n] marks [data] as
+    already (1+eps)-filtered (see {!Pruning.skyline_stage}): the initial
+    [C] is [data] itself.
 
     Rounds end early when one candidate remains.  Raises [Invalid_argument]
     when [s < 2], [q < 0], [eps <= 0], [delta < 0], [trials < 1] or the
@@ -56,6 +59,7 @@ val uh_random :
   ?delta:float ->
   ?anchors:int ->
   ?store:Pruning.Store.t ->
+  ?source_n:int ->
   data:Indq_dataset.Dataset.t ->
   s:int ->
   q:int ->

@@ -206,7 +206,7 @@ let record t entry =
     Counter.incr c_records;
     emit entry
 
-let header name (config : Algo.config) ~data =
+let header name (config : Algo.config) ~n ~data =
   Started
     {
       algo = Algo.to_string name;
@@ -216,19 +216,24 @@ let header name (config : Algo.config) ~data =
       delta = config.Algo.delta;
       trials = config.Algo.trials;
       exact_prune = config.Algo.exact_prune;
-      n = Dataset.size data;
+      n;
       d = Dataset.dim data;
     }
 
-let start ?trace ?journal name config ~data ~rng =
+(* The catalogue size a session reports: the source row count when [data]
+   is an already-filtered candidate set. *)
+let source_size ?source_n data =
+  Option.value source_n ~default:(Dataset.size data)
+
+let start ?trace ?journal ?source_n name config ~data ~rng =
   let session =
     { state = Asking [||]; resume = Done; questions = 0; journal }
   in
-  record session (header name config ~data);
+  record session (header name config ~n:(source_size ?source_n data) ~data);
   let oracle = Oracle.of_chooser (fun options -> Effect.perform (Ask options)) in
   let final =
     Effect.Deep.match_with
-      (fun () -> Algo.run ?trace name config ~data ~oracle ~rng)
+      (fun () -> Algo.run ?trace ?source_n name config ~data ~oracle ~rng)
       ()
       {
         retc = (fun result -> Finished result);
@@ -277,12 +282,25 @@ let answer t choice =
     t.state <- Effect.Deep.continue k choice;
     Histogram.observe h_round_latency (Timer.wall () -. started)
 
+(* Raised into an abandoned coroutine at its pending question; it unwinds
+   the algorithm's stack (closing its open spans) and is caught here. *)
+exception Abandoned
+
+let abandon t =
+  match t.resume with
+  | Done -> ()
+  | Pending k -> (
+    t.resume <- Done;
+    t.journal <- None;
+    match Effect.Deep.discontinue k Abandoned with
+    | (_ : state) | (exception Abandoned) -> ())
+
 let mismatch ~round reason = raise (Error (Journal_mismatch { round; reason }))
 
 (* Validate a journal header against the arguments of the resume call.  The
    journal cannot carry the dataset or the RNG, so the caller must supply
    the originals; the header fingerprint catches the obvious drifts. *)
-let check_header h name (config : Algo.config) ~data =
+let check_header h name (config : Algo.config) ~source_n ~data =
   match h with
   | Answered _ ->
     mismatch ~round:0 "journal does not begin with a session_started record"
@@ -309,42 +327,52 @@ let check_header h name (config : Algo.config) ~data =
            config.Algo.trials);
     if exact_prune <> config.Algo.exact_prune then
       mismatch ~round:0 "journal config exact_prune flag differs";
-    if n <> Dataset.size data || d <> Dataset.dim data then
+    if n <> source_n || d <> Dataset.dim data then
       mismatch ~round:0
         (want "journal data shape (n=%d, d=%d) differs from (n=%d, d=%d)" n d
-           (Dataset.size data) (Dataset.dim data))
+           source_n (Dataset.dim data))
 
-let resume ?trace ?journal entries name config ~data ~rng =
+let resume ?trace ?journal ?source_n entries name config ~data ~rng =
   match entries with
   | [] -> mismatch ~round:0 "empty journal"
   | h :: answers ->
-    check_header h name config ~data;
+    check_header h name config ~source_n:(source_size ?source_n data) ~data;
     (* Start without the journal sink: replayed answers must not be
        re-recorded (the caller typically appends to the same file). *)
-    let t = start ?trace name config ~data ~rng in
-    Span.timed "session.replay" (fun () ->
-        List.iter
-          (fun entry ->
-            match entry with
-            | Started _ ->
-              mismatch ~round:(t.questions + 1)
-                "unexpected second session_started record"
-            | Answered { round; options; choice } -> (
-              if round <> t.questions + 1 then
-                mismatch ~round
-                  (Printf.sprintf "expected round %d next" (t.questions + 1));
-              match t.state with
-              | Finished _ ->
-                mismatch ~round "journal continues after the run finished"
-              | Asking opts ->
-                if Array.length opts <> options then
+    let t = start ?trace ?source_n name config ~data ~rng in
+    (* A replay that fails part-way must not leave its coroutine
+       suspended: nobody could resume it, and its fiber would leak. *)
+    let replay () =
+      Span.timed "session.replay" (fun () ->
+          List.iter
+            (fun entry ->
+              match entry with
+              | Started _ ->
+                mismatch ~round:(t.questions + 1)
+                  "unexpected second session_started record"
+              | Answered { round; options; choice } -> (
+                if round <> t.questions + 1 then
                   mismatch ~round
-                    (Printf.sprintf
-                       "journal shows %d options, session asks %d" options
-                       (Array.length opts));
-                Counter.incr c_replayed;
-                answer t choice))
-          answers);
+                    (Printf.sprintf "expected round %d next" (t.questions + 1));
+                match t.state with
+                | Finished _ ->
+                  mismatch ~round "journal continues after the run finished"
+                | Asking opts ->
+                  if Array.length opts <> options then
+                    mismatch ~round
+                      (Printf.sprintf
+                         "journal shows %d options, session asks %d" options
+                         (Array.length opts));
+                  Counter.incr c_replayed;
+                  answer t choice))
+            answers)
+    in
+    (match replay () with
+    | () -> ()
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      abandon t;
+      Printexc.raise_with_backtrace e bt);
     (* Future answers journal normally. *)
     t.journal <- journal;
     t

@@ -91,6 +91,7 @@ val journal_of_string : ?strict:bool -> string -> journal_entry list
 val start :
   ?trace:Indq_obs.Trace.sink ->
   ?journal:(journal_entry -> unit) ->
+  ?source_n:int ->
   Algo.name ->
   Algo.config ->
   data:Indq_dataset.Dataset.t ->
@@ -102,11 +103,18 @@ val start :
     sink fires from inside the suspended coroutine, i.e. during {!start}
     and each {!answer} call.  [journal] receives the write-ahead journal
     records; persist each one (with a newline) before showing the user the
-    next question and the session survives any crash. *)
+    next question and the session survives any crash.
+
+    [source_n] says [data] is already the (1+eps)-skyline of a
+    [source_n]-row catalogue, e.g. a candidate set shared by many
+    sessions (see {!Algo.run}): Line 1 is skipped, and the journal header
+    records [n = source_n], so the journal is byte-identical to the one
+    the whole catalogue would produce and resumes either way. *)
 
 val resume :
   ?trace:Indq_obs.Trace.sink ->
   ?journal:(journal_entry -> unit) ->
+  ?source_n:int ->
   journal_entry list ->
   Algo.name ->
   Algo.config ->
@@ -120,8 +128,9 @@ val resume :
     journaled answer.  The resulting session is byte-identical to one that
     ran the same answers without interruption — same pending options or
     final result, same question count.  Replayed answers are not re-emitted
-    to [journal]; answers given after the resume are.  Raises {!Error} on
-    any inconsistency. *)
+    to [journal]; answers given after the resume are.  [source_n] is as
+    in {!start}.  Raises {!Error} on any inconsistency (the partly
+    replayed coroutine is {!abandon}ed first). *)
 
 val current : t -> state
 
@@ -129,6 +138,15 @@ val answer : t -> int -> unit
 (** Answer the pending question with the index of the chosen option.
     Raises {!Error} ([Already_finished] / [Choice_out_of_range]) on
     misuse. *)
+
+val abandon : t -> unit
+(** Give up a session that will never be answered again: a suspended
+    coroutine is ended by raising an internal exception at its pending
+    question, so its fiber stack is freed (a dropped, still-suspended
+    continuation is never reclaimed) and any spans it has open are
+    recorded and popped.  Nothing is journaled and {!current} keeps its
+    last value; a later {!answer} raises [Already_finished].  A no-op on
+    a finished or already abandoned session. *)
 
 val questions_asked : t -> int
 

@@ -65,7 +65,7 @@ let ladder_round ~d ~s ~i ~i_star ~lo ~hi ~oracle ~update =
   let c = Oracle.choose oracle display + 1 in
   update ~chi ~c
 
-let run ?(exact_prune = false) ~data ~s ~q ~eps ~oracle () =
+let run ?(exact_prune = false) ?source_n ~data ~s ~q ~eps ~oracle () =
   if s < 2 then invalid_arg "Squeeze_u.run: s must be >= 2";
   if q < 0 then invalid_arg "Squeeze_u.run: negative question budget";
   if eps <= 0. then invalid_arg "Squeeze_u.run: eps must be positive";
@@ -74,16 +74,10 @@ let run ?(exact_prune = false) ~data ~s ~q ~eps ~oracle () =
   let d = Dataset.dim data in
   (* Line 1: Observation 3 pre-filter. *)
   let candidates =
-    Span.timed "squeeze_u.skyline" (fun () ->
-        Skyline.prune_eps_dominated ~eps data)
+    Pruning.skyline_stage ?source_n data (fun data ->
+        Span.timed "squeeze_u.skyline" (fun () ->
+            Skyline.prune_eps_dominated ~eps data))
   in
-  Trace.emit_with (fun () ->
-      Trace.Prune_stage
-        {
-          stage = "skyline";
-          before = Dataset.size data;
-          after = Dataset.size candidates;
-        });
   let n_candidates = Dataset.size candidates in
   (* Lines 2-3: the e_i display points from the data ranges. *)
   let ranges = Dataset.attribute_ranges candidates in

@@ -28,6 +28,7 @@ type result = {
 
 val run :
   ?exact_prune:bool ->
+  ?source_n:int ->
   data:Indq_dataset.Dataset.t ->
   s:int ->
   q:int ->
@@ -37,7 +38,9 @@ val run :
   result
 (** [run ~data ~s ~q ~eps ~oracle ()] asks at most [q] questions of [s]
     options each.  [exact_prune] (default false) switches the final filter
-    from the O(n) heuristic to the exact box-corner test.
+    from the O(n) heuristic to the exact box-corner test.  [source_n]
+    marks [data] as already (1+eps)-filtered (see
+    {!Pruning.skyline_stage}): Line 1 is skipped.
 
     Raises [Invalid_argument] when [s < 2], [q < 0], [eps <= 0] or the
     dataset is empty. *)

@@ -32,7 +32,7 @@ let robust_bounds ~delta ~s ~chi ~c =
   in
   (new_lo, new_hi)
 
-let run ?(exact_prune = false) ~data ~s ~q ~eps ~delta ~oracle () =
+let run ?(exact_prune = false) ?source_n ~data ~s ~q ~eps ~delta ~oracle () =
   if s < 2 then invalid_arg "Squeeze_u2.run: s must be >= 2";
   if q < 0 then invalid_arg "Squeeze_u2.run: negative question budget";
   if eps <= 0. then invalid_arg "Squeeze_u2.run: eps must be positive";
@@ -42,16 +42,10 @@ let run ?(exact_prune = false) ~data ~s ~q ~eps ~delta ~oracle () =
   let d = Dataset.dim data in
   (* Line 1: Observation 3 pre-filter. *)
   let candidates =
-    Span.timed "squeeze_u2.skyline" (fun () ->
-        Skyline.prune_eps_dominated ~eps data)
+    Pruning.skyline_stage ?source_n data (fun data ->
+        Span.timed "squeeze_u2.skyline" (fun () ->
+            Skyline.prune_eps_dominated ~eps data))
   in
-  Trace.emit_with (fun () ->
-      Trace.Prune_stage
-        {
-          stage = "skyline";
-          before = Dataset.size data;
-          after = Dataset.size candidates;
-        });
   let n_candidates = Dataset.size candidates in
   (* Line 2: unit display points. *)
   let make_point i = Vec.basis d i in

@@ -26,6 +26,7 @@ type result = {
 
 val run :
   ?exact_prune:bool ->
+  ?source_n:int ->
   data:Indq_dataset.Dataset.t ->
   s:int ->
   q:int ->
@@ -36,7 +37,8 @@ val run :
   result
 (** Raises [Invalid_argument] when [s < 2], [q < 0], [eps <= 0],
     [delta < 0] or the dataset is empty.  [delta = 0.] reduces exactly to
-    the Algorithm 1 updates (with unit-vector phase-1 points). *)
+    the Algorithm 1 updates (with unit-vector phase-1 points).  [source_n]
+    skips Line 1, as in {!Squeeze_u.run}. *)
 
 val robust_bounds :
   delta:float -> s:int -> chi:float array -> c:int -> float * float

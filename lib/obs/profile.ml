@@ -216,6 +216,7 @@ let phase name ~doc = (name, doc)
 let catalog =
   [
     phase "baselines.greedy_regret_set" ~doc:"greedy k-regret seeding pass";
+    phase "catalogue.build" ~doc:"serve: catalogue + skyline on a table miss";
     phase "real_points.lemma2_prune" ~doc:"Lemma 2 utility-bound pruning";
     phase "real_points.observe" ~doc:"feasible-region cut per answer";
     phase "real_points.pick_display" ~doc:"display-set selection per round";

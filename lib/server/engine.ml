@@ -1,6 +1,5 @@
 module Session = Indq_core.Session
 module Algo = Indq_core.Algo
-module Generator = Indq_dataset.Generator
 module Dataset = Indq_dataset.Dataset
 module Tuple = Indq_dataset.Tuple
 module Vec = Indq_linalg.Vec
@@ -44,23 +43,20 @@ let default_config ~dir =
   }
 
 (* A hydrated session: the live coroutine plus its open journal sink, on
-   an intrusive LRU list (most recent at [head]).  Cold sessions have no
-   in-memory representation at all — the journal file is the registry. *)
+   an intrusive LRU list.  Cold sessions have no in-memory representation
+   at all — the journal file is the registry. *)
 type entry = {
   e_id : string;
   e_session : Session.t;
   e_sink : Journal_store.t;
   mutable e_touched : float;
-  mutable e_prev : entry option;  (** toward the MRU head *)
-  mutable e_next : entry option;  (** toward the LRU tail *)
 }
 
 type t = {
   cfg : config;
-  table : (string, entry) Hashtbl.t;  (** hydrated sessions only *)
-  mutable head : entry option;
-  mutable tail : entry option;
-  mutable count : int;
+  table : (string, entry Lru.node) Hashtbl.t;  (** hydrated sessions only *)
+  lru : entry Lru.t;
+  catalogue : Catalogue.t;  (** pruned candidates shared by sessions *)
 }
 
 type outcome = Reply of Wire.response | Disconnect | Stop of Wire.response
@@ -77,46 +73,37 @@ let create cfg =
   if cfg.max_n < 1 || cfg.max_d < 1 then
     invalid_arg "Engine.create: max_n and max_d must be >= 1";
   Journal_store.ensure_dir cfg.dir;
-  { cfg; table = Hashtbl.create 64; head = None; tail = None; count = 0 }
+  {
+    cfg;
+    table = Hashtbl.create 64;
+    lru = Lru.create ();
+    catalogue = Catalogue.create ();
+  }
 
 (* --- LRU list ----------------------------------------------------------- *)
 
-let unlink t e =
-  (match e.e_prev with Some p -> p.e_next <- e.e_next | None -> t.head <- e.e_next);
-  (match e.e_next with Some n -> n.e_prev <- e.e_prev | None -> t.tail <- e.e_prev);
-  e.e_prev <- None;
-  e.e_next <- None;
-  t.count <- t.count - 1
-
-let push_front t e =
-  e.e_prev <- None;
-  e.e_next <- t.head;
-  (match t.head with Some h -> h.e_prev <- Some e | None -> t.tail <- Some e);
-  t.head <- Some e;
-  t.count <- t.count + 1
-
-let touch t e =
-  e.e_touched <- t.cfg.clock ();
-  match t.head with
-  | Some h when h == e -> ()
-  | Some _ | None ->
-    unlink t e;
-    push_front t e
+let touch t node =
+  (Lru.value node).e_touched <- t.cfg.clock ();
+  Lru.touch t.lru node
 
 (* Drop a hydrated session from memory.  [counted] marks transparent
    evictions (capacity or idleness) that the client never observes;
-   explicit releases ([bye]) and torn-sink drops are not evictions. *)
-let drop t e ~counted =
+   explicit releases ([bye]) and torn-sink drops are not evictions.  The
+   suspended coroutine is abandoned, not just forgotten: a dropped
+   continuation's fiber stack is never reclaimed. *)
+let drop t node ~counted =
+  let e = Lru.value node in
+  Session.abandon e.e_session;
   Journal_store.close e.e_sink;
   Hashtbl.remove t.table e.e_id;
-  unlink t e;
+  Lru.unlink t.lru node;
   if counted then Counter.incr c_evictions
 
 let rec evict_overflow t =
-  if t.count > t.cfg.max_hydrated then
-    match t.tail with
-    | Some e ->
-      drop t e ~counted:true;
+  if Lru.length t.lru > t.cfg.max_hydrated then
+    match Lru.tail t.lru with
+    | Some node ->
+      drop t node ~counted:true;
       evict_overflow t
     | None -> ()
 
@@ -124,30 +111,31 @@ let sweep t =
   if t.cfg.idle_timeout > 0. then begin
     let now = t.cfg.clock () in
     let rec go () =
-      match t.tail with
-      | Some e when now -. e.e_touched > t.cfg.idle_timeout ->
-        drop t e ~counted:true;
+      match Lru.tail t.lru with
+      | Some node when now -. (Lru.value node).e_touched > t.cfg.idle_timeout
+        ->
+        drop t node ~counted:true;
         go ()
       | Some _ | None -> ()
     in
     go ()
   end
 
-let hydrated t = t.count
+let hydrated t = Lru.length t.lru
+
+let catalogue t = t.catalogue
 
 let shutdown t =
   let rec go () =
-    match t.head with
-    | Some e ->
-      drop t e ~counted:false;
+    match Lru.head t.lru with
+    | Some node ->
+      drop t node ~counted:false;
       go ()
     | None -> ()
   in
   go ()
 
 (* --- Deterministic session reconstruction ------------------------------- *)
-
-let builtin_generators = [ "independent"; "correlated"; "anti_correlated" ]
 
 (* Resolve the hello's zero-able fields against the paper defaults.  Pure
    in the hello, so the resolution at [create] time and at every rehydrate
@@ -168,11 +156,7 @@ let resolve (h : Wire.hello) =
   (n, config)
 
 let validate_hello t (h : Wire.hello) =
-  let generator = String.lowercase_ascii h.data in
-  let generator =
-    if generator = "anti-correlated" then "anti_correlated" else generator
-  in
-  if not (List.mem generator builtin_generators) then
+  if Catalogue.canonical h.data = None then
     err Wire.Bad_field
       "field \"data\" must be a builtin generator (independent, correlated, \
        anti_correlated): the server loads no files";
@@ -192,10 +176,13 @@ let validate_hello t (h : Wire.hello) =
 
 (* Both the dataset and the session RNG derive from the hello's seed, so a
    rehydrated session sees bit-identical inputs: data from [seed], the
-   algorithm's own randomness from [seed + 1]. *)
-let build_data (h : Wire.hello) =
-  let n, _ = resolve h in
-  Generator.by_name h.data (Rng.create h.seed) ~n ~d:h.d
+   algorithm's own randomness from [seed + 1].  The dataset arrives
+   already (1+eps)-filtered from the shared catalogue table, with its
+   source row count. *)
+let candidates t (h : Wire.hello) =
+  let n, config = resolve h in
+  Catalogue.candidates t.catalogue ~generator:h.data ~seed:h.seed ~n ~d:h.d
+    ~eps:config.Algo.eps
 
 let session_rng (h : Wire.hello) = Rng.create (h.seed + 1)
 
@@ -209,16 +196,26 @@ let session_err e = raise (Err (code_of_session_error e, Session.error_message e
 
 (* --- Hydration ---------------------------------------------------------- *)
 
-let insert t e =
-  Hashtbl.replace t.table e.e_id e;
-  push_front t e;
-  evict_overflow t
+let insert t session sink id =
+  let e =
+    {
+      e_id = id;
+      e_session = session;
+      e_sink = sink;
+      e_touched = t.cfg.clock ();
+    }
+  in
+  let node = Lru.node e in
+  Hashtbl.replace t.table id node;
+  Lru.push_front t.lru node;
+  evict_overflow t;
+  e
 
 let hydrate t id =
   match Hashtbl.find_opt t.table id with
-  | Some e ->
-    touch t e;
-    e
+  | Some node ->
+    touch t node;
+    Lru.value node
   | None -> (
     match Journal_store.load ~dir:t.cfg.dir id with
     | Error Journal_store.No_session ->
@@ -228,34 +225,29 @@ let hydrate t id =
     | Error (Journal_store.Bad_journal e) -> session_err e
     | Ok loaded -> (
       let hello = loaded.Journal_store.hello in
+      (* The header is input like any hello: a tampered one must not name
+         an unknown generator or an over-limit catalogue. *)
+      (try validate_hello t hello
+       with Err (_, msg) ->
+         err Wire.Journal_corrupt "session %S journal header: %s" id msg);
       let _, config = resolve hello in
       let sink =
         Journal_store.reopen ~dir:t.cfg.dir ~fsync:t.cfg.fsync
           ~rewrite:loaded.Journal_store.torn_tail loaded id
       in
       match
+        let data, source_n = candidates t hello in
         Session.resume
           ~journal:(fun entry -> Journal_store.append sink entry)
-          loaded.Journal_store.entries hello.Wire.algo config
-          ~data:(build_data hello) ~rng:(session_rng hello)
+          ~source_n loaded.Journal_store.entries hello.Wire.algo config ~data
+          ~rng:(session_rng hello)
       with
       | session ->
         Counter.incr c_hydrations;
-        let e =
-          {
-            e_id = id;
-            e_session = session;
-            e_sink = sink;
-            e_touched = t.cfg.clock ();
-            e_prev = None;
-            e_next = None;
-          }
-        in
-        insert t e;
-        e
-      | exception Session.Error e ->
+        insert t session sink id
+      | exception e ->
         Journal_store.close sink;
-        session_err e))
+        (match e with Session.Error se -> session_err se | e -> raise e)))
 
 (* --- Request handling --------------------------------------------------- *)
 
@@ -291,9 +283,10 @@ let do_hello t (h : Wire.hello) =
   match
     let sink = Journal_store.create ~dir:t.cfg.dir ~fsync:t.cfg.fsync h in
     match
+      let data, source_n = candidates t h in
       Session.start
         ~journal:(fun entry -> Journal_store.append sink entry)
-        h.algo config ~data:(build_data h) ~rng:(session_rng h)
+        ~source_n h.algo config ~data ~rng:(session_rng h)
     with
     | session -> (sink, session)
     | exception e ->
@@ -302,18 +295,7 @@ let do_hello t (h : Wire.hello) =
   with
   | sink, session ->
     Counter.incr c_sessions;
-    let e =
-      {
-        e_id = h.id;
-        e_session = session;
-        e_sink = sink;
-        e_touched = t.cfg.clock ();
-        e_prev = None;
-        e_next = None;
-      }
-    in
-    insert t e;
-    state_reply e
+    state_reply (insert t session sink h.id)
   | exception Journal_store.Torn _ ->
     (* Torn while journaling the header or the session's first record:
        creation is atomic, so remove the stub file — the client may simply
@@ -342,7 +324,7 @@ let do_answer t id ~round ~choice =
          in-memory state never advanced — but the file now has a torn tail.
          Treat the session as crashed: drop it, and let the client's resume
          run torn-tail recovery.  The journal is the truth. *)
-      drop t e ~counted:false;
+      drop t (Hashtbl.find t.table id) ~counted:false;
       err Wire.Torn_write
         "journal append torn; session %S evicted, resume to recover" id);
     let elapsed = t.cfg.clock () -. started in
@@ -355,8 +337,8 @@ let do_answer t id ~round ~choice =
 
 let do_bye t id =
   match Hashtbl.find_opt t.table id with
-  | Some e ->
-    drop t e ~counted:false;
+  | Some node ->
+    drop t node ~counted:false;
     Reply (Wire.R_ok { id = Some id })
   | None ->
     if Journal_store.exists ~dir:t.cfg.dir id then

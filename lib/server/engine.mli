@@ -6,10 +6,15 @@
     journal directory as the only session registry: a session is {e the
     file} [DIR/id.journal], and memory holds at most [max_hydrated] live
     coroutines at a time on an LRU.  Any session can be evicted (sink
-    closed, coroutine dropped) and rehydrated later by replaying its
-    journal; determinism of the algorithm stack makes the round trip
-    byte-identical, which ["serve.evictions"] / ["serve.hydrations"]
-    exist to prove.
+    closed, coroutine abandoned with {!Indq_core.Session.abandon}) and
+    rehydrated later by replaying its journal; determinism of the
+    algorithm stack makes the round trip byte-identical, which
+    ["serve.evictions"] / ["serve.hydrations"] exist to prove.
+
+    Sessions start and rehydrate from the engine's {!Catalogue}: the
+    (1+eps)-skyline of each builtin catalogue is computed once and
+    borrowed read-only by every session on it, instead of regenerating
+    and re-pruning the catalogue per [hello] and per rehydration.
 
     Failures never escape: every misuse, corrupt journal, torn write or
     over-limit request maps to a typed {!Wire.response} error.  The four
@@ -21,8 +26,11 @@
     requests, ["serve.hydrations"] journal replays into memory,
     ["serve.evictions"] LRU/idle evictions of resumable sessions,
     ["serve.requests"] requests handled, ["serve.wire_errors"] typed error
-    replies, and the ["serve.round_latency"] histogram of wall seconds per
-    answered round (journal append included). *)
+    replies, ["catalogue.hits"] / ["catalogue.misses"] /
+    ["catalogue.evictions"] for the shared candidate table (see
+    {!Catalogue}), and the ["serve.round_latency"] histogram of wall
+    seconds per answered round (journal append included).  The [stats]
+    op reports every counter. *)
 
 type config = {
   dir : string;  (** journal directory (created if missing) *)
@@ -71,6 +79,9 @@ val sweep : t -> unit
 val hydrated : t -> int
 (** Number of sessions currently live in memory (tests and stats). *)
 
+val catalogue : t -> Catalogue.t
+(** The engine's shared candidate table (tests). *)
+
 val shutdown : t -> unit
-(** Close every hydrated session's sink (sessions stay resumable on
-    disk). *)
+(** Close every hydrated session's sink and abandon its coroutine
+    (sessions stay resumable on disk). *)

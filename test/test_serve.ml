@@ -6,10 +6,19 @@
    in-process reference is the acceptance bar throughout. *)
 
 module Algo = Indq_core.Algo
+module Session = Indq_core.Session
 module Counter = Indq_obs.Counter
+module Dataset = Indq_dataset.Dataset
+module Generator = Indq_dataset.Generator
+module Store = Indq_dataset.Store
+module Tuple = Indq_dataset.Tuple
+module Skyline = Indq_dominance.Skyline
+module Rng = Indq_util.Rng
+module Vec = Indq_linalg.Vec
 module Wire = Indq_server.Wire
 module Journal_store = Indq_server.Journal_store
 module Engine = Indq_server.Engine
+module Catalogue = Indq_server.Catalogue
 module Server = Indq_server.Server
 module Sclient = Indq_server.Client
 
@@ -24,14 +33,15 @@ let mk_hello ?(algo = Algo.Squeeze_u) ?(data = "independent") ?(n = 60)
   { Wire.id; algo; data; n; d; seed; s; q; eps; delta }
 
 let mk_engine ?(fsync = Journal_store.Never) ?(max_hydrated = 1024)
-    ?(idle_timeout = 0.) ?(deadline = 0.) ?(allow_shutdown = false) ?clock dir
-    =
+    ?(idle_timeout = 0.) ?(deadline = 0.) ?(allow_shutdown = false) ?max_n
+    ?clock dir =
   let base = Engine.default_config ~dir in
   Engine.create
     {
       base with
       Engine.fsync;
       max_hydrated;
+      max_n = Option.value max_n ~default:base.Engine.max_n;
       idle_timeout;
       deadline;
       allow_shutdown;
@@ -73,6 +83,45 @@ let engine_finish engine i first =
     | r -> Alcotest.fail ("engine session: " ^ Wire.response_to_line r)
   in
   loop first
+
+(* Hello every session, then answer one round per unfinished session per
+   pass until every run is done; [after_pass] runs after each pass.  With a
+   small LRU every pass churns the sessions through its slots.  Returns
+   the final [done] lines in hello order. *)
+let round_robin ?(after_pass = ignore) engine hellos =
+  let finals = Array.make (List.length hellos) "" in
+  List.iteri
+    (fun i h ->
+      match reply (Engine.handle engine (Wire.Hello h)) with
+      | Wire.R_done _ as r -> finals.(i) <- Wire.response_to_line r
+      | Wire.R_ask _ -> ()
+      | r -> Alcotest.fail ("hello: " ^ Wire.response_to_line r))
+    hellos;
+  let progress = ref true in
+  while !progress do
+    progress := false;
+    List.iteri
+      (fun i h ->
+        if finals.(i) = "" then begin
+          progress := true;
+          match reply (Engine.handle engine (Wire.Ask { id = h.Wire.id })) with
+          | Wire.R_done _ as r -> finals.(i) <- Wire.response_to_line r
+          | Wire.R_ask { id; round; options } -> (
+            match
+              reply
+                (Engine.handle engine
+                   (Wire.Answer
+                      { id; round; choice = choice_for i round options }))
+            with
+            | Wire.R_done _ as r -> finals.(i) <- Wire.response_to_line r
+            | Wire.R_ask _ -> ()
+            | r -> Alcotest.fail ("answer: " ^ Wire.response_to_line r))
+          | r -> Alcotest.fail ("ask: " ^ Wire.response_to_line r)
+        end)
+      hellos;
+    after_pass ()
+  done;
+  Array.to_list finals
 
 let reference_lines hellos =
   let dir = temp_dir "indq-serve-ref" in
@@ -132,6 +181,43 @@ let test_wire_roundtrip () =
           (Wire.response_to_line resp')
       | Error msg -> Alcotest.fail ("response did not re-parse: " ^ msg))
     responses
+
+(* Numbers render exactly as [Printf.sprintf "%.17g"] and parse back to
+   the same bits: journals and [done] lines written by earlier builds stay
+   byte-comparable. *)
+let test_wire_float_tokens () =
+  let st = Random.State.make [| 18 |] in
+  let random_bits () =
+    let x = Int64.float_of_bits (Random.State.int64 st Int64.max_int) in
+    if Random.State.bool st then x else -.x
+  in
+  let fixed =
+    [ 0.; -0.; 1.; -1.; 0.1; 1e21; 1e22; 5e-324; 2.2250738585072014e-308;
+      Float.max_float; 123456789012345678.; 0.05; 1. /. 3. ]
+  in
+  let xs =
+    fixed
+    @ List.init 20_000 (fun i ->
+          if i mod 2 = 0 then Random.State.float st 1. else random_bits ())
+    |> List.filter Float.is_finite
+  in
+  let line = Wire.print_json (Wire.List (List.map (fun x -> Wire.Num x) xs)) in
+  let expected =
+    "[" ^ String.concat "," (List.map (Printf.sprintf "%.17g") xs) ^ "]"
+  in
+  Alcotest.(check bool) "tokens equal %.17g" true (String.equal line expected);
+  match Wire.parse_json line with
+  | Ok (Wire.List nums) ->
+    let same =
+      List.for_all2
+        (fun x v ->
+          match v with
+          | Wire.Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+          | _ -> false)
+        xs nums
+    in
+    Alcotest.(check bool) "bit-exact round-trip" true same
+  | Ok _ | Error _ -> Alcotest.fail "number list did not re-parse"
 
 let test_wire_parse_errors () =
   let code line =
@@ -320,40 +406,12 @@ let test_eviction_transparency () =
   let dir = temp_dir "indq-serve-lru" in
   let engine = mk_engine ~max_hydrated:2 dir in
   let before = Counter.snapshot () in
-  let finals = Array.make (List.length hellos) "" in
-  List.iteri
-    (fun i h ->
-      match reply (Engine.handle engine (Wire.Hello h)) with
-      | Wire.R_done _ as r -> finals.(i) <- Wire.response_to_line r
-      | Wire.R_ask _ -> ()
-      | r -> Alcotest.fail ("hello: " ^ Wire.response_to_line r))
-    hellos;
-  Alcotest.(check int) "capacity respected" 2 (Engine.hydrated engine);
   (* One answer per session per pass: every pass churns all six sessions
      through the two available slots. *)
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    List.iteri
-      (fun i h ->
-        if finals.(i) = "" then begin
-          progress := true;
-          match reply (Engine.handle engine (Wire.Ask { id = h.Wire.id })) with
-          | Wire.R_done _ as r -> finals.(i) <- Wire.response_to_line r
-          | Wire.R_ask { id; round; options } -> (
-            match
-              reply
-                (Engine.handle engine
-                   (Wire.Answer
-                      { id; round; choice = choice_for i round options }))
-            with
-            | Wire.R_done _ as r -> finals.(i) <- Wire.response_to_line r
-            | Wire.R_ask _ -> ()
-            | r -> Alcotest.fail ("answer: " ^ Wire.response_to_line r))
-          | r -> Alcotest.fail ("ask: " ^ Wire.response_to_line r)
-        end)
-      hellos
-  done;
+  let finals =
+    round_robin engine hellos ~after_pass:(fun () ->
+        Alcotest.(check int) "capacity respected" 2 (Engine.hydrated engine))
+  in
   Engine.shutdown engine;
   let delta = Counter.since before in
   let v name = match List.assoc_opt name delta with Some x -> x | None -> 0. in
@@ -363,8 +421,212 @@ let test_eviction_transparency () =
     (fun i expected ->
       Alcotest.(check string)
         (Printf.sprintf "final line of lru-%d byte-identical" i)
-        expected finals.(i))
+        expected (List.nth finals i))
     reference
+
+(* --- The shared catalogue table ----------------------------------------- *)
+
+let delta_of before name =
+  Option.value ~default:0. (List.assoc_opt name (Counter.since before))
+
+let check_counts label before ~hits ~misses ~evictions =
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check (float 0.)) (label ^ ": " ^ name) (float_of_int want)
+        (delta_of before name))
+    [
+      ("catalogue.hits", hits);
+      ("catalogue.misses", misses);
+      ("catalogue.evictions", evictions);
+    ]
+
+(* The key is the canonical generator, seed, resolved n, d and eps: both
+   spellings of one generator (and eps = 0, which resolves to the paper
+   default) share one entry; another eps or n does not. *)
+let test_catalogue_keys () =
+  let dir = temp_dir "indq-serve-cat" in
+  let engine = mk_engine dir in
+  let cat = Engine.catalogue engine in
+  let before = Counter.snapshot () in
+  let hello ?(data = "anti_correlated") ?(n = 300) ?(eps = 0.) id =
+    match
+      reply
+        (Engine.handle engine
+           (Wire.Hello (mk_hello ~data ~n ~d:3 ~seed:5 ~eps id)))
+    with
+    | Wire.R_ask _ | Wire.R_done _ -> ()
+    | r -> Alcotest.fail ("hello: " ^ Wire.response_to_line r)
+  in
+  hello ~data:"anti-correlated" "a";
+  Alcotest.(check int) "first request is not admitted" 0 (Catalogue.resident cat);
+  hello ~data:"anti_correlated" "b";
+  Alcotest.(check int) "second spelling admits the key" 1 (Catalogue.resident cat);
+  hello ~data:"Anti-Correlated" ~eps:0.05 "c";
+  check_counts "one generator, two spellings" before ~hits:1 ~misses:2
+    ~evictions:0;
+  hello ~eps:0.1 "e1";
+  hello ~eps:0.1 "e2";
+  hello ~n:301 "n1";
+  hello ~n:301 "n2";
+  Alcotest.(check int) "eps and n are part of the key" 3 (Catalogue.resident cat);
+  check_counts "distinct keys" before ~hits:1 ~misses:6 ~evictions:0;
+  Engine.shutdown engine
+
+(* Exact hit / miss / admission / eviction accounting against a byte
+   budget, driving the table directly. *)
+let test_catalogue_budget () =
+  let fetch t seed =
+    Catalogue.candidates t ~generator:"independent" ~seed ~n:200 ~d:3 ~eps:0.05
+  in
+  let probe = Catalogue.create () in
+  let size seed =
+    let b = Catalogue.bytes probe in
+    ignore (fetch probe seed);
+    ignore (fetch probe seed);
+    Catalogue.bytes probe - b
+  in
+  let a = size 1 and b = size 2 in
+  Alcotest.(check bool) "entries have a size" true (a > 0 && b > 0);
+  (* Room for either entry, never both. *)
+  let t = Catalogue.create ~budget:(a + b - 1) () in
+  let rows_1 = Dataset.to_csv (fst (fetch probe 1)) in
+  let before = Counter.snapshot () in
+  let data, source_n = fetch t 1 in
+  Alcotest.(check int) "source row count" 200 source_n;
+  Alcotest.(check string) "a miss serves the skyline"
+    (Dataset.to_csv
+       (Skyline.prune_eps_dominated ~eps:0.05
+          (Generator.independent (Rng.create 1) ~n:200 ~d:3)))
+    (Dataset.to_csv data);
+  Alcotest.(check int) "not admitted on first request" 0 (Catalogue.resident t);
+  ignore (fetch t 1);
+  Alcotest.(check int) "admitted on second request" a (Catalogue.bytes t);
+  let data, _ = fetch t 1 in
+  Alcotest.(check string) "a hit serves the same rows" rows_1
+    (Dataset.to_csv data);
+  check_counts "admission" before ~hits:1 ~misses:2 ~evictions:0;
+  ignore (fetch t 2);
+  ignore (fetch t 2);
+  Alcotest.(check int) "admitting past the budget evicts the LRU entry" b
+    (Catalogue.bytes t);
+  Alcotest.(check int) "one entry resident" 1 (Catalogue.resident t);
+  ignore (fetch t 1);
+  Alcotest.(check int) "a recent key is readmitted" a (Catalogue.bytes t);
+  check_counts "byte budget" before ~hits:1 ~misses:5 ~evictions:2;
+  (* An entry larger than the whole budget is never admitted. *)
+  let tiny = Catalogue.create ~budget:(a - 1) () in
+  for _ = 1 to 3 do
+    ignore (fetch tiny 1)
+  done;
+  Alcotest.(check int) "oversized entry never resident" 0 (Catalogue.resident tiny);
+  (* The ring of recent keys is bounded: a key requested once, then
+     crowded out by [recent_keys] others, is a first request again. *)
+  let ring = Catalogue.create () in
+  ignore (fetch ring 1);
+  for seed = 100 to 99 + Catalogue.recent_keys do
+    ignore (fetch ring seed)
+  done;
+  ignore (fetch ring 1);
+  Alcotest.(check int) "forgotten keys are not admitted" 0 (Catalogue.resident ring);
+  check_counts "whole test" before ~hits:1 ~misses:(10 + Catalogue.recent_keys)
+    ~evictions:2
+
+(* Content fingerprint computed afresh: [Store.fingerprint] memoizes, so a
+   mutation after the first call would go unseen without the copy. *)
+let deep_fingerprint s =
+  Store.fingerprint (Store.select s (Array.init (Store.size s) Fun.id))
+
+(* K catalogues shared by twice as many sessions behind an LRU of 2: every
+   answer rehydrates from the shared table.  The final lines must equal
+   journal-less sessions on freshly generated catalogues fed the same
+   answers, and the shared stores must come out of the churn unmodified. *)
+let test_catalogue_churn () =
+  let k = 4 in
+  let hellos =
+    List.init (2 * k) (fun i ->
+        mk_hello ~data:"anti_correlated" ~n:600 ~d:3 ~seed:(300 + (i mod k))
+          (Printf.sprintf "churn-%d" i))
+  in
+  let reference =
+    List.mapi
+      (fun i (h : Wire.hello) ->
+        let session =
+          Session.start h.Wire.algo
+            (Algo.default_config ~d:h.Wire.d)
+            ~data:
+              (Generator.by_name h.Wire.data (Rng.create h.Wire.seed)
+                 ~n:h.Wire.n ~d:h.Wire.d)
+            ~rng:(Rng.create (h.Wire.seed + 1))
+        in
+        let rec loop () =
+          match Session.current session with
+          | Session.Asking options ->
+            let round = Session.questions_asked session + 1 in
+            Session.answer session (choice_for i round options);
+            loop ()
+          | Session.Finished result ->
+            Wire.response_to_line
+              (Wire.R_done
+                 {
+                   id = h.Wire.id;
+                   questions = Session.questions_asked session;
+                   output =
+                     List.map
+                       (fun t -> (Tuple.id t, Vec.to_array (Tuple.values t)))
+                       (Dataset.to_list result.Algo.output);
+                 })
+        in
+        loop ())
+      hellos
+  in
+  let dir = temp_dir "indq-serve-churn" in
+  let engine = mk_engine ~max_hydrated:2 dir in
+  let cat = Engine.catalogue engine in
+  let before = Counter.snapshot () in
+  let shared = ref [] in
+  let finals =
+    round_robin engine hellos ~after_pass:(fun () ->
+        if !shared = [] then
+          shared :=
+            List.map (fun s -> (s, deep_fingerprint s)) (Catalogue.stores cat))
+  in
+  Engine.shutdown engine;
+  Alcotest.(check int) "every catalogue shared" k (List.length !shared);
+  Alcotest.(check bool) "rehydrations hit the table" true
+    (delta_of before "catalogue.hits" > 0.);
+  Alcotest.(check (float 0.)) "one build per catalogue and its admission"
+    (float_of_int (2 * k)) (delta_of before "catalogue.misses");
+  Alcotest.(check bool) "sessions were evicted" true
+    (delta_of before "serve.evictions" > 0.);
+  List.iter
+    (fun (s, fp) ->
+      Alcotest.(check string) "shared store unmodified" fp (deep_fingerprint s))
+    !shared;
+  List.iteri
+    (fun i expected ->
+      Alcotest.(check string)
+        (Printf.sprintf "final line of churn-%d byte-identical" i)
+        expected (List.nth finals i))
+    reference
+
+(* A journal header is input like any hello: an unknown generator or an
+   over-limit n must come back as journal_corrupt, not an exception. *)
+let test_hostile_header () =
+  let dir = temp_dir "indq-serve-hostile" in
+  let engine = mk_engine ~max_n:100 dir in
+  let plant (h : Wire.hello) =
+    let oc = open_out (Journal_store.path ~dir h.Wire.id) in
+    output_string oc (Wire.request_to_line (Wire.Hello h) ^ "\n");
+    close_out oc
+  in
+  plant (mk_hello ~data:"bogus" "bogus");
+  check_error "unknown generator in a header" Wire.Journal_corrupt
+    (Engine.handle engine (Wire.Resume { id = "bogus" }));
+  plant (mk_hello ~n:5000 "huge");
+  check_error "over-limit n in a header" Wire.Journal_corrupt
+    (Engine.handle engine (Wire.Ask { id = "huge" }));
+  Alcotest.(check int) "nothing hydrated" 0 (Engine.hydrated engine);
+  Engine.shutdown engine
 
 (* --- The kill-and-restart drill against the real binary ------------------ *)
 
@@ -542,6 +804,8 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "canonical round-trips" `Quick test_wire_roundtrip;
+          Alcotest.test_case "floats print as %.17g" `Quick
+            test_wire_float_tokens;
           Alcotest.test_case "typed parse errors" `Quick test_wire_parse_errors;
           Alcotest.test_case "fsync policy parse" `Quick test_fsync_policy_parse;
         ] );
@@ -557,6 +821,17 @@ let () =
             test_idle_eviction;
           Alcotest.test_case "LRU eviction is byte-transparent" `Quick
             test_eviction_transparency;
+          Alcotest.test_case "hostile journal headers are typed" `Quick
+            test_hostile_header;
+        ] );
+      ( "catalogue",
+        [
+          Alcotest.test_case "key spellings and fields" `Quick
+            test_catalogue_keys;
+          Alcotest.test_case "admission and byte budget" `Quick
+            test_catalogue_budget;
+          Alcotest.test_case "shared churn is byte-identical and read-only"
+            `Quick test_catalogue_churn;
         ] );
       ( "drill",
         [

@@ -12,6 +12,8 @@ module Counter = Indq_obs.Counter
 module Dataset = Indq_dataset.Dataset
 module Generator = Indq_dataset.Generator
 module Rng = Indq_util.Rng
+module Skyline = Indq_dominance.Skyline
+module Trace = Indq_obs.Trace
 
 let vec = Indq_linalg.Vec.of_array
 module Utility = Indq_user.Utility
@@ -352,6 +354,147 @@ let qcheck_kill_resume =
       && result.Algo.questions_used = reference.Algo.questions_used
       && prefix @ List.rev !post = journal)
 
+(* --- Pre-filtered candidates --------------------------------------------- *)
+
+(* The events a pre-filtered run must reproduce exactly: the run header and
+   the Line 1 stage (timings and spans aside). *)
+let shape_events events =
+  List.filter_map
+    (function
+      | Trace.Run_started _ as e -> Some (Trace.to_json e)
+      | Trace.Prune_stage { stage = "skyline"; _ } as e -> Some (Trace.to_json e)
+      | _ -> None)
+    (List.rev events)
+
+(* Handing a session the (1+eps)-skyline plus the source row count must be
+   indistinguishable from handing it the whole catalogue: same journal
+   (header included), same output, same Line 1 trace, and a journal written
+   by either resumes on the other. *)
+let test_prefiltered_candidates () =
+  List.iter
+    (fun (algo, (config : Algo.config)) ->
+      let label s =
+        Printf.sprintf "%s delta=%g: %s" (Algo.to_string algo)
+          config.Algo.delta s
+      in
+      let seed = 7 in
+      let data = make_data seed in
+      let candidates = Skyline.prune_eps_dominated ~eps:config.Algo.eps data in
+      let source_n = Dataset.size data in
+      let run ?source_n data =
+        let journal = ref [] and events = ref [] in
+        let session =
+          Session.start
+            ~trace:(fun e -> events := e :: !events)
+            ~journal:(fun e -> journal := e :: !journal)
+            ?source_n algo config ~data ~rng:(Rng.create (seed + 1))
+        in
+        let result = drive session in
+        (result, List.rev !journal, shape_events !events)
+      in
+      let whole, whole_journal, whole_events = run data in
+      let pre, pre_journal, pre_events = run ~source_n candidates in
+      Alcotest.(check (list entry)) (label "journal") whole_journal pre_journal;
+      Alcotest.(check string) (label "output")
+        (Dataset.to_csv whole.Algo.output) (Dataset.to_csv pre.Algo.output);
+      Alcotest.(check (list string)) (label "trace") whole_events pre_events;
+      (* A journal written from the whole catalogue resumes on the
+         candidates, and vice versa. *)
+      let header, answers = split_journal whole_journal in
+      let prefix = header :: List.filteri (fun i _ -> i < 1) answers in
+      let resumed =
+        Session.resume ~source_n prefix algo config ~data:candidates
+          ~rng:(Rng.create (seed + 1))
+      in
+      Alcotest.(check string) (label "resumed on candidates")
+        (Dataset.to_csv whole.Algo.output)
+        (Dataset.to_csv (drive resumed).Algo.output);
+      let resumed =
+        Session.resume prefix algo config ~data ~rng:(Rng.create (seed + 1))
+      in
+      Alcotest.(check string) (label "resumed on the catalogue")
+        (Dataset.to_csv pre.Algo.output)
+        (Dataset.to_csv (drive resumed).Algo.output))
+    tab3_configs
+
+(* --- Abandon ------------------------------------------------------------ *)
+
+let test_abandon () =
+  let config = { (Algo.default_config ~d:2) with Algo.trials = 2 } in
+  let records = ref 0 in
+  let session =
+    Session.start
+      ~journal:(fun _ -> incr records)
+      Algo.Squeeze_u config ~data:(make_data 7) ~rng:(Rng.create 8)
+  in
+  (match Session.current session with
+  | Session.Asking _ -> ()
+  | Session.Finished _ -> Alcotest.fail "expected a pending question");
+  let journaled = !records in
+  Session.abandon session;
+  Alcotest.(check int) "abandon journals nothing" journaled !records;
+  Alcotest.check_raises "answer after abandon"
+    (Session.Error Session.Already_finished) (fun () ->
+      Session.answer session 0);
+  Session.abandon session;
+  (* On a finished session abandon changes nothing. *)
+  let finished =
+    Session.start Algo.Squeeze_u config ~data:(make_data 7) ~rng:(Rng.create 8)
+  in
+  let result = drive finished in
+  Session.abandon finished;
+  (match Session.result finished with
+  | Some r ->
+    Alcotest.(check string) "result kept"
+      (Dataset.to_csv result.Algo.output) (Dataset.to_csv r.Algo.output)
+  | None -> Alcotest.fail "finished session lost its result");
+  Alcotest.(check int) "question count kept" result.Algo.questions_used
+    (Session.questions_asked finished)
+
+(* Resident set size in kB, from the Linux proc interface. *)
+let vm_rss_kb () =
+  let ic = open_in "/proc/self/status" in
+  let rec scan () =
+    match input_line ic with
+    | line when String.length line > 6 && String.sub line 0 6 = "VmRSS:" ->
+      Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" Fun.id
+    | _ -> scan ()
+    | exception End_of_file -> 0
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) scan
+
+(* A suspended session holds an effect continuation whose fiber stack is
+   only freed when the fiber finishes.  Abandoning must finish it: 20k
+   abandoned sessions would otherwise leak about 28 MB of stacks. *)
+let test_abandon_frees_fibers () =
+  if Sys.file_exists "/proc/self/status" then begin
+    let config = Algo.default_config ~d:4 in
+    let data = Generator.anti_correlated (Rng.create 3) ~n:200 ~d:4 in
+    let candidates = Skyline.prune_eps_dominated ~eps:config.Algo.eps data in
+    let source_n = Dataset.size data in
+    let start () =
+      Session.start ~source_n Algo.Squeeze_u config ~data:candidates
+        ~rng:(Rng.create 4)
+    in
+    (* Warm up the heap before taking the baseline. *)
+    for _ = 1 to 1000 do
+      Session.abandon (start ())
+    done;
+    Gc.compact ();
+    let before = vm_rss_kb () in
+    for _ = 1 to 20_000 do
+      let session = start () in
+      (match Session.current session with
+      | Session.Asking _ -> ()
+      | Session.Finished _ -> Alcotest.fail "expected a suspended session");
+      Session.abandon session
+    done;
+    Gc.compact ();
+    let grown = vm_rss_kb () - before in
+    if grown >= 5 * 1024 then
+      Alcotest.failf "VmRSS grew by %d kB over 20k abandoned sessions" grown
+  end
+
 let () =
   Alcotest.run "session"
     [
@@ -371,5 +514,14 @@ let () =
           Alcotest.test_case "kill-and-resume after every round" `Quick
             test_kill_resume_every_round;
           QCheck_alcotest.to_alcotest qcheck_kill_resume;
+          Alcotest.test_case "pre-filtered candidates reproduce the run" `Quick
+            test_prefiltered_candidates;
+        ] );
+      ( "abandon",
+        [
+          Alcotest.test_case "abandon ends a pending session" `Quick
+            test_abandon;
+          Alcotest.test_case "abandoned fibers are freed" `Quick
+            test_abandon_frees_fibers;
         ] );
     ]
