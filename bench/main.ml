@@ -7,26 +7,23 @@
      dune exec bench/main.exe -- fig2 tab3       # a subset
      dune exec bench/main.exe -- -quick          # smoke-test sizes
      dune exec bench/main.exe -- -scale 0.25 fig4
-   Experiments: fig1 fig2 fig3 fig4 fig5 tab3 tab4 fig6 fig7 bechamel *)
+     dune exec bench/main.exe -- lp              # an experiment run by name only
+   Experiments (the default run): fig1 fig2 fig3 fig4 fig5 tab3 tab4 fig6
+   fig7 ablation-skyline ablation-anchors ablation-prune ablation-nonlinear.
+   By name only: lp scale.
+
+   Served-protocol load is measured by servebench/, and the fault sites
+   are driven and asserted by test/test_fault.ml. *)
 
 module Experiments = Indq_experiments.Experiments
 module Report = Indq_experiments.Report
 module Pool = Indq_exec.Pool
-module Wire = Indq_server.Wire
-module Journal_store = Indq_server.Journal_store
-module Engine = Indq_server.Engine
-module Server = Indq_server.Server
-module Sclient = Indq_server.Client
 
 let seed = ref 2024
 let scale = ref 1.0
 let utilities = ref 10
 let max_n = ref 1_000_000
-let quick = ref false
 let metrics = ref false
-let faults = ref false
-let lp_micro = ref false
-let serve_bench = ref false
 let jobs = ref 1
 let with_times = ref true
 let json_file = ref ""
@@ -35,8 +32,8 @@ let selected : string list ref = ref []
 
 (* Sweeps recorded for -json, in run order, tagged with their experiment
    name.  Only sweep-shaped experiments (the fig and tab families) are
-   recorded; the bechamel and ablation sections print free-form tables and
-   stay text-only. *)
+   recorded; the lp and ablation sections print free-form tables and stay
+   text-only. *)
 let recorded_sweeps : (string * Experiments.sweep) list ref = ref []
 
 (* Per-round allocation probe from the -scale experiment: for every
@@ -57,7 +54,7 @@ let record sweep =
    pool never appears in the printed output. *)
 let pool : Pool.t option ref = ref None
 
-let usage = "main.exe [-quick] [-metrics] [-j N] [-no-times] [-json FILE] [-scale S] [-cache DIR] [-utilities K] [-max-n N] [-seed S] [-faults] [-lp] [-serve] [experiments...]"
+let usage = "main.exe [-quick] [-metrics] [-j N] [-no-times] [-json FILE] [-scale S] [-cache DIR] [-utilities K] [-max-n N] [-seed S] [experiments...]"
 
 let spec =
   [
@@ -67,7 +64,14 @@ let spec =
       experiment maps 100 to n=10^7)");
     ("-utilities", Arg.Set_int utilities, "random utility functions per cell (default 10)");
     ("-max-n", Arg.Set_int max_n, "cap for the fig6 scalability sweep (default 1000000)");
-    ("-quick", Arg.Set quick, "smoke-test settings (scale 0.05, 3 utilities, max-n 10000)");
+    ("-quick",
+     Arg.Unit
+       (fun () ->
+         scale := 0.05;
+         utilities := 3;
+         max_n := 10_000),
+     "smoke-test settings (scale 0.05, 3 utilities, max-n 10000); a \
+      -scale, -utilities or -max-n after it wins");
     ("-metrics", Arg.Set metrics, "also print mean per-run work counters per sweep");
     ("-j", Arg.Set_int jobs, "worker domains for sweep trials (default 1 = sequential)");
     ("-no-times", Arg.Clear with_times,
@@ -78,15 +82,6 @@ let spec =
      "skyline-artifact cache directory for the scale experiment (persists \
       (1+eps)-skyline row positions keyed by dataset fingerprint; omitted \
       = always recompute)");
-    ("-faults", Arg.Set faults,
-     "run the deterministic fault-injection matrix (one armed site at a \
-      time, plan derived from -seed) instead of the default experiments");
-    ("-lp", Arg.Set lp_micro,
-     "run the LP micro-benchmark (flat-kernel throughput, polytope-fork \
-      vs from-scratch latency) instead of the default experiments");
-    ("-serve", Arg.Set serve_bench,
-     "run the session-server load benchmark (socket load generation plus \
-      the eviction-transparency check) instead of the default experiments");
   ]
 
 let print_sweep sweep =
@@ -150,78 +145,6 @@ let run_fig7 () =
   let n = max 500 (int_of_float (!scale *. 10_000.)) in
   print_sweep
     (Experiments.fig7 ~utilities:!utilities ~n ?pool:!pool ~seed:!seed ())
-
-(* --- Bechamel micro-benchmarks: one Test.make per running-time table ---
-
-   Tables III and IV time whole algorithm executions; Bechamel needs
-   sub-second units to sample, so each table gets a micro workload (an
-   NBA-like subset) per algorithm.  Relative ordering is what these
-   establish; the wall-clock tables above carry the paper-scale numbers. *)
-
-let bechamel_micro_test ~name ~delta =
-  let open Bechamel in
-  let module Algo = Indq_core.Algo in
-  let module Oracle = Indq_user.Oracle in
-  let module Utility = Indq_user.Utility in
-  let module Rng = Indq_util.Rng in
-  let data =
-    Indq_dataset.Realistic.nba ~n:1500 (Rng.create (!seed + 77))
-  in
-  let d = Indq_dataset.Dataset.dim data in
-  let config = { (Algo.default_config ~d) with Algo.delta } in
-  let tests =
-    List.map
-      (fun algo ->
-        Test.make
-          ~name:(Algo.to_string algo)
-          (Staged.stage (fun () ->
-               let rng = Rng.create !seed in
-               let u = Utility.random rng ~d in
-               let oracle =
-                 if delta > 0. then
-                   Oracle.with_error ~delta ~rng:(Rng.split rng) u
-                 else Oracle.exact u
-               in
-               ignore (Algo.run algo config ~data ~oracle ~rng:(Rng.split rng)))))
-      Algo.all
-  in
-  Test.make_grouped ~name tests
-
-let run_bechamel () =
-  section "bechamel micro-benchmarks (NBA-like, n=1500)";
-  let open Bechamel in
-  let benchmark test =
-    let ols =
-      Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-    in
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:30 ~quota:(Time.second 2.0) ~kde:None
-        ~stabilize:false ()
-    in
-    let raw = Benchmark.all cfg instances test in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  let print_results title results =
-    let t =
-      Indq_util.Tabulate.create ~title ~columns:[ "algorithm"; "ms/run" ]
-    in
-    let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-    List.iter
-      (fun (name, ols) ->
-        let ms =
-          match Analyze.OLS.estimates ols with
-          | Some (t :: _) -> t /. 1e6
-          | _ -> Float.nan
-        in
-        Indq_util.Tabulate.add_row t [ name; Printf.sprintf "%.2f" ms ])
-      (List.sort compare rows);
-    Indq_util.Tabulate.print t
-  in
-  print_results "Table III micro (delta=0)"
-    (benchmark (bechamel_micro_test ~name:"tab3" ~delta:0.));
-  print_results "Table IV micro (delta=0.05)"
-    (benchmark (bechamel_micro_test ~name:"tab4" ~delta:0.05))
 
 (* --- Ablations: design choices called out in DESIGN.md --- *)
 
@@ -411,261 +334,16 @@ let run_ablation_nonlinear () =
   print_endline
     "degrades both -- quantifying the cost of the paper's linearity assumption.\n"
 
-(* --- Fault-injection matrix (-faults): arm one site at a time with the
-   trigger the seeded plan assigns it, drive a workload that reaches the
-   site, and report whether the stack recovered or surfaced its typed
-   error.  Entirely deterministic in -seed: same plan, same injections,
-   same outcomes. *)
-
-module Fault = Indq_fault.Fault
-module Counter = Indq_obs.Counter
-module Lp = Indq_lp.Lp
-module Vec = Indq_linalg.Vec
-
-let trigger_to_string = function
-  | Fault.Never -> "never"
-  | Fault.Once k -> Printf.sprintf "once@reach %d" k
-  | Fault.Every k -> Printf.sprintf "every %d" k
-  | Fault.After k -> Printf.sprintf "after %d" k
-  | Fault.Always -> "always"
-
-(* Enough reaches to cover any [Once k] the seeded plan can pick (k <= 4). *)
-let fault_reaches = 8
-
-let drive_dataset_load () =
-  let csv = "0,1,0.5\n1,0.25,1\n2,0.75,0.125\n" in
-  let errors = ref 0 and ok = ref 0 in
-  for _ = 1 to fault_reaches do
-    match Dataset.of_csv csv with
-    | _ -> incr ok
-    | exception Dataset.Load_error _ -> incr errors
-  done;
-  Printf.sprintf "typed Load_error x%d, %d clean loads" !errors !ok
-
-(* A small non-degenerate LP; the armed site decides whether a given solve
-   runs clean, recovers via the Bland continuation, or fails typed. *)
-let drive_lp site =
-  let constraints =
-    [
-      { Lp.coeffs = Vec.of_array [| 1.; 2. |]; relation = Lp.Le; rhs = 4. };
-      { Lp.coeffs = Vec.of_array [| 3.; 1. |]; relation = Lp.Le; rhs = 6. };
-    ]
-  in
-  let optimal = ref 0 and failed = ref 0 and retried = ref 0 in
-  for _ = 1 to fault_reaches do
-    let before = Counter.get "retry.attempts" in
-    (match
-       Lp.solve ~n:2 ~objective:(Vec.of_array [| 1.; 1. |]) `Maximize constraints
-     with
-    | Lp.Optimal _ -> incr optimal
-    | Lp.Failed _ -> incr failed
-    | Lp.Infeasible | Lp.Unbounded -> assert false);
-    if Counter.get "retry.attempts" > before then incr retried
-  done;
-  match site with
-  | `Cap ->
-    Printf.sprintf "Bland continuation recovered x%d, %d optimal, %d failed"
-      !retried !optimal !failed
-  | `Nan ->
-    Printf.sprintf "typed Failed (Numerical) x%d, %d optimal" !failed !optimal
-
-(* A whole interactive run with a lying simulated user: the run must finish
-   and degrade (collapse detection / widened restart), never crash. *)
-let drive_oracle_contradiction () =
-  let rng = Rng.create !seed in
-  let data = Generator.anti_correlated rng ~n:400 ~d:3 in
-  let d = Dataset.dim data in
-  let config = Algo.default_config ~d in
-  let outcomes =
-    List.map
-      (fun algo ->
-        let u = Utility.random rng ~d in
-        let oracle = Oracle.exact u in
-        let result = Algo.run algo config ~data ~oracle ~rng:(Rng.split rng) in
-        Printf.sprintf "%s |out|=%d" (Algo.to_string algo)
-          (Dataset.size result.Algo.output))
-      [ Algo.Uh_random; Algo.Squeeze_u ]
-  in
-  let collapses = Counter.get "region.collapses" in
-  let widened = Counter.get "squeeze_u2.widened_restarts" in
-  Printf.sprintf "completed (%s); collapses=%g widened=%g"
-    (String.concat ", " outcomes) collapses widened
-
-(* Chunks are retried on simulated worker death; output must stay
-   bit-identical to the fault-free map. *)
-let drive_worker_death () =
-  let arr = Array.init 64 (fun i -> i) in
-  let f i = (i * i) + 1 in
-  let expected = Array.map f arr in
-  Pool.with_pool ~domains:2 (fun p ->
-      match Pool.parallel_map ~chunks:8 p f arr with
-      | out ->
-        if out = expected then "recovered: output bit-identical"
-        else "RECOVERY MISMATCH"
-      | exception Fault.Injected _ ->
-        "retries exhausted: typed Fault.Injected")
-
-let bench_temp_dir prefix =
-  let base = Filename.temp_file prefix "" in
-  Sys.remove base;
-  Unix.mkdir base 0o700;
-  base
-
-let serve_hello id =
-  {
-    Wire.id;
-    algo = Algo.Squeeze_u;
-    data = "independent";
-    n = 30;
-    d = 2;
-    seed = 5;
-    s = 0;
-    q = 0;
-    eps = 0.;
-    delta = 0.;
-  }
-
-(* Every fsync failure is absorbed by the durable sink: appends keep
-   succeeding, the records all land on disk, and only the
-   serve.sync_failures counter betrays the injection. *)
-let drive_journal_sync () =
-  let dir = bench_temp_dir "indq-bench-sync" in
-  let before = Counter.get "serve.sync_failures" in
-  let sink =
-    Journal_store.create ~dir ~fsync:Journal_store.Always (serve_hello "sync")
-  in
-  let entries =
-    List.init (fault_reaches - 1) (fun i ->
-        Indq_core.Session.Answered { round = i + 1; options = 2; choice = 0 })
-  in
-  List.iter (Journal_store.append sink) entries;
-  Journal_store.close sink;
-  let failures = Counter.get "serve.sync_failures" -. before in
-  match Journal_store.load ~dir "sync" with
-  | Ok l
-    when l.Journal_store.entries = entries && not l.Journal_store.torn_tail ->
-    Printf.sprintf "absorbed %g fsync failure(s), all %d records durable"
-      failures (List.length entries)
-  | Ok _ -> "RECORDS MISMATCH AFTER SYNC FAILURE"
-  | Error _ -> "JOURNAL FAILED TO LOAD"
-
-(* A torn append poisons the sink; recovery reloads (dropping the torn
-   tail), reopens with a rewrite, and re-appends the failed record.  The
-   final journal must hold every record exactly once. *)
-let drive_journal_torn_write () =
-  let dir = bench_temp_dir "indq-bench-torn" in
-  let torn = ref 0 in
-  (* A tear can land on the header write itself; creation is atomic, so
-     recovery there is delete-and-retry. *)
-  let rec fresh () =
-    match
-      Journal_store.create ~dir ~fsync:Journal_store.Never (serve_hello "torn")
-    with
-    | sink -> sink
-    | exception Journal_store.Torn _ ->
-      incr torn;
-      Sys.remove (Journal_store.path ~dir "torn");
-      fresh ()
-  in
-  let sink = ref (fresh ()) in
-  let entries =
-    List.init fault_reaches (fun i ->
-        Indq_core.Session.Answered { round = i + 1; options = 2; choice = 10 + i })
-  in
-  List.iter
-    (fun e ->
-      match Journal_store.append !sink e with
-      | () -> ()
-      | exception Journal_store.Torn _ -> (
-        incr torn;
-        Journal_store.close !sink;
-        match Journal_store.load ~dir "torn" with
-        | Ok loaded ->
-          sink :=
-            Journal_store.reopen ~dir ~fsync:Journal_store.Never
-              ~rewrite:loaded.Journal_store.torn_tail loaded "torn";
-          Journal_store.append !sink e
-        | Error _ -> ()))
-    entries;
-  Journal_store.close !sink;
-  match Journal_store.load ~dir "torn" with
-  | Ok l
-    when l.Journal_store.entries = entries && not l.Journal_store.torn_tail ->
-    Printf.sprintf "tear recovered x%d, journal intact (%d records)" !torn
-      (List.length entries)
-  | Ok _ | Error _ -> "JOURNAL DAMAGED AFTER TORN WRITE"
-
-(* The engine swallows exactly one reply; session state stays intact, so
-   the following request sees the same pending round. *)
-let drive_client_disconnect () =
-  let dir = bench_temp_dir "indq-bench-disc" in
-  let engine =
-    Engine.create
-      { (Engine.default_config ~dir) with Engine.fsync = Journal_store.Never }
-  in
-  let outcomes =
-    List.init fault_reaches (fun i ->
-        Engine.handle engine
-          (if i = 0 then Wire.Hello (serve_hello "c")
-           else Wire.Ask { id = "c" }))
-  in
-  Engine.shutdown engine;
-  let count p = List.length (List.filter p outcomes) in
-  let dropped =
-    count (function Engine.Disconnect -> true | _ -> false)
-  in
-  let clean =
-    count (function
-      | Engine.Reply (Wire.R_ask _ | Wire.R_done _) -> true
-      | _ -> false)
-  in
-  Printf.sprintf "reply dropped x%d, %d clean replies, session intact" dropped
-    clean
-
-let run_faults () =
-  section (Printf.sprintf "fault matrix (plan seed=%d)" !seed);
-  let plan = Fault.random_plan ~seed:!seed in
-  let t =
-    Tabulate.create ~title:"one armed site per row, all others quiet"
-      ~columns:[ "site"; "trigger"; "injected"; "outcome" ]
-  in
-  List.iter
-    (fun site ->
-      let trigger = List.assoc site plan.Fault.arms in
-      let site_plan = Fault.plan ~seed:!seed [ (site, trigger) ] in
-      let before = Counter.snapshot () in
-      let outcome =
-        Fault.with_plan site_plan (fun () ->
-            match site with
-            | "inject.dataset_load" -> drive_dataset_load ()
-            | "inject.lp_iteration_cap" -> drive_lp `Cap
-            | "inject.lp_nan_pivot" -> drive_lp `Nan
-            | "inject.oracle_contradiction" -> drive_oracle_contradiction ()
-            | "inject.worker_death" -> drive_worker_death ()
-            | "inject.journal_sync" -> drive_journal_sync ()
-            | "inject.journal_torn_write" -> drive_journal_torn_write ()
-            | "inject.client_disconnect" -> drive_client_disconnect ()
-            | _ -> "no driver for this site")
-      in
-      let delta = Counter.since before in
-      let injected =
-        match List.assoc_opt "fault.injected" delta with
-        | Some v -> v
-        | None -> 0.
-      in
-      Tabulate.add_row t
-        [ site; trigger_to_string trigger; Printf.sprintf "%g" injected;
-          outcome ])
-    Fault.site_names;
-  Tabulate.print t
-
-(* --- LP micro-benchmark (-lp): flat-kernel throughput and the latency of
+(* --- LP micro-benchmark (lp): flat-kernel throughput and the latency of
    a value query answered by forking a region's frozen tableau vs the
    from-scratch [Lp.solve] rebuild over the same constraints.  The
    pivot-count distribution and the agreement audit are deterministic in
    -seed; every wall-clock figure is gated behind -no-times like the rest
    of the harness. *)
 
+module Counter = Indq_obs.Counter
+module Lp = Indq_lp.Lp
+module Vec = Indq_linalg.Vec
 module Mat = Indq_linalg.Mat
 module Histogram = Indq_obs.Histogram
 module Polytope = Indq_geom.Polytope
@@ -675,7 +353,7 @@ let h_lp_dual = Histogram.make ~unit_:Seconds "bench.lp_dual_seconds"
 
 let h_lp_rebuild = Histogram.make ~unit_:Seconds "bench.lp_rebuild_seconds"
 
-let run_lp_micro () =
+let run_lp () =
   section (Printf.sprintf "lp micro-benchmark (seed=%d)" !seed);
   let ms v = Printf.sprintf "%.4f" (v *. 1e3) in
   let gated v = if !with_times then v else "-" in
@@ -819,197 +497,6 @@ let run_lp_micro () =
     (counter "lp.dual_reopt") (counter "lp.dual_pivots") (counter "lp.solves");
   Printf.printf "agreement: %d/%d fork vs from-scratch (max |delta| = %.3g)\n\n"
     !agreements !queries !max_gap
-
-(* --- Serve bench (-serve): the crash-tolerant session server under load.
-
-   Phase A drives real clients over a Unix-domain socket against a server
-   running in its own domain; counters are domain-local, so every figure
-   comes back over the wire through the [stats] op.  Phase B replays one
-   interleaved schedule through two engines — one starved to
-   [max_hydrated = 3], one uncapped — and byte-compares the final encoded
-   [done] lines: eviction plus rehydration must be invisible in the
-   results, while [serve.evictions] proves the round trips happened. *)
-
-let serve_json = ref ""
-
-let run_serve () =
-  section "serve";
-  let gated v = if !with_times then v else "-" in
-  let ms v = Printf.sprintf "%.3f" (v *. 1e3) in
-  (* Phase A: socket load generation. *)
-  let sessions = if !quick then 30 else 150 in
-  let root = bench_temp_dir "indq-serve" in
-  let sock = Filename.concat root "indq.sock" in
-  let config =
-    {
-      (Engine.default_config ~dir:(Filename.concat root "journals")) with
-      Engine.allow_shutdown = true;
-    }
-  in
-  let ready = Atomic.make false in
-  let server =
-    Domain.spawn (fun () ->
-        Server.run
-          ~on_ready:(fun () -> Atomic.set ready true)
-          config (Server.Unix_path sock))
-  in
-  while not (Atomic.get ready) do
-    Unix.sleepf 0.005
-  done;
-  let client = Sclient.connect (Server.Unix_path sock) in
-  let load_hello i =
-    {
-      Wire.id = Printf.sprintf "load-%04d" i;
-      algo = Algo.Squeeze_u;
-      data = "independent";
-      n = 400;
-      d = 3;
-      seed = !seed + i;
-      s = 0;
-      q = 0;
-      eps = 0.;
-      delta = 0.;
-    }
-  in
-  let total_rounds = ref 0 in
-  let drive i =
-    let rec loop = function
-      | Wire.R_ask { id; round; options } ->
-        incr total_rounds;
-        let choice = (round + i) mod Array.length options in
-        loop (Sclient.rpc client (Wire.Answer { id; round; choice }))
-      | Wire.R_done _ -> ()
-      | other ->
-        failwith ("serve bench: unexpected reply " ^ Wire.response_to_line other)
-    in
-    loop (Sclient.rpc client (Wire.Hello (load_hello i)))
-  in
-  let (), secs =
-    Timer.time (fun () ->
-        for i = 0 to sessions - 1 do
-          drive i
-        done)
-  in
-  let counters, lat =
-    match Sclient.rpc client Wire.Stats with
-    | Wire.R_stats { counters; round_latency } -> (counters, round_latency)
-    | other ->
-      failwith ("serve bench: unexpected stats reply " ^ Wire.response_to_line other)
-  in
-  (match Sclient.rpc client Wire.Shutdown with
-  | Wire.R_ok _ -> ()
-  | other ->
-    failwith ("serve bench: shutdown refused: " ^ Wire.response_to_line other));
-  Sclient.close client;
-  Domain.join server;
-  let counter name =
-    match List.assoc_opt name counters with Some v -> v | None -> 0.
-  in
-  let a = Tabulate.create ~title:"phase A: socket load" ~columns:[ "metric"; "value" ] in
-  Tabulate.add_row a [ "sessions"; string_of_int sessions ];
-  Tabulate.add_row a [ "rounds answered"; string_of_int !total_rounds ];
-  Tabulate.add_row a [ "serve.sessions"; Printf.sprintf "%g" (counter "serve.sessions") ];
-  Tabulate.add_row a [ "serve.requests"; Printf.sprintf "%g" (counter "serve.requests") ];
-  Tabulate.add_row a [ "serve.journal_syncs"; Printf.sprintf "%g" (counter "serve.journal_syncs") ];
-  Tabulate.add_row a [ "serve.wire_errors"; Printf.sprintf "%g" (counter "serve.wire_errors") ];
-  Tabulate.add_row a [ "wall seconds"; gated (Printf.sprintf "%.2f" secs) ];
-  Tabulate.add_row a
-    [ "sessions/sec"; gated (Printf.sprintf "%.1f" (float_of_int sessions /. secs)) ];
-  Tabulate.add_row a
-    [ Printf.sprintf "serve.round_latency ms (n=%d)" lat.Wire.p_count;
-      gated
-        (Printf.sprintf "p50=%s p90=%s p99=%s" (ms lat.Wire.p50)
-           (ms lat.Wire.p90) (ms lat.Wire.p99)) ];
-  Tabulate.print a;
-  (* Phase B: eviction transparency on one interleaved schedule. *)
-  let clients_b = 12 in
-  let evict_hello i =
-    {
-      Wire.id = Printf.sprintf "evict-%02d" i;
-      algo = Algo.Squeeze_u;
-      data = "anti_correlated";
-      n = 300;
-      d = 2;
-      seed = !seed + (7 * i);
-      s = 0;
-      q = 0;
-      eps = 0.;
-      delta = 0.;
-    }
-  in
-  let run_schedule ~max_hydrated =
-    let dir = bench_temp_dir "indq-evict" in
-    let engine =
-      Engine.create
-        {
-          (Engine.default_config ~dir) with
-          Engine.max_hydrated;
-          fsync = Journal_store.Never;
-        }
-    in
-    let before = Counter.snapshot () in
-    let finals = Array.make clients_b "" in
-    let reply i = function
-      | Engine.Reply (Wire.R_done _ as r) ->
-        finals.(i) <- Wire.response_to_line r
-      | Engine.Reply (Wire.R_ask _) -> ()
-      | _ -> failwith "serve bench: unexpected engine outcome"
-    in
-    for i = 0 to clients_b - 1 do
-      reply i (Engine.handle engine (Wire.Hello (evict_hello i)))
-    done;
-    (* Round-robin, one answer per session per pass: with the starved
-       capacity every pass churns the LRU through all twelve sessions. *)
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      for i = 0 to clients_b - 1 do
-        if finals.(i) = "" then begin
-          progress := true;
-          let id = (evict_hello i).Wire.id in
-          match Engine.handle engine (Wire.Ask { id }) with
-          | Engine.Reply (Wire.R_done _ as r) ->
-            finals.(i) <- Wire.response_to_line r
-          | Engine.Reply (Wire.R_ask { id; round; options }) ->
-            let choice = (round + i) mod Array.length options in
-            reply i (Engine.handle engine (Wire.Answer { id; round; choice }))
-          | _ -> failwith "serve bench: unexpected engine outcome"
-        end
-      done
-    done;
-    let delta = Counter.since before in
-    Engine.shutdown engine;
-    let v name =
-      match List.assoc_opt name delta with Some x -> x | None -> 0.
-    in
-    (Array.to_list finals, v "serve.evictions", v "serve.hydrations")
-  in
-  let starved, ev_starved, hy_starved = run_schedule ~max_hydrated:3 in
-  let uncapped, ev_uncapped, _ = run_schedule ~max_hydrated:1024 in
-  let identical = starved = uncapped in
-  let b =
-    Tabulate.create ~title:"phase B: eviction transparency (12 sessions)"
-      ~columns:[ "engine"; "evictions"; "hydrations"; "final done lines" ]
-  in
-  Tabulate.add_row b
-    [ "max_hydrated=3"; Printf.sprintf "%g" ev_starved;
-      Printf.sprintf "%g" hy_starved;
-      (if identical then "byte-identical" else "BYTE MISMATCH") ];
-  Tabulate.add_row b
-    [ "max_hydrated=1024"; Printf.sprintf "%g" ev_uncapped; "-"; "reference" ];
-  Tabulate.print b;
-  if not identical then
-    print_endline "EVICTION TRANSPARENCY VIOLATED: results differ\n";
-  if ev_starved <= 0. then
-    print_endline "EVICTION CHECK INCONCLUSIVE: starved engine never evicted\n";
-  serve_json :=
-    Printf.sprintf
-      "{\"sessions\":%d,\"rounds\":%d,\"seconds\":%.6f,\"sessions_per_sec\":%.2f,\"round_latency_ms\":{\"count\":%d,\"p50\":%.4f,\"p90\":%.4f,\"p99\":%.4f},\"eviction_transparency\":{\"identical\":%b,\"starved_evictions\":%g,\"starved_hydrations\":%g}}"
-      sessions !total_rounds secs
-      (float_of_int sessions /. secs)
-      lat.Wire.p_count
-      (lat.Wire.p50 *. 1e3) (lat.Wire.p90 *. 1e3) (lat.Wire.p99 *. 1e3)
-      identical ev_starved hy_starved
 
 (* --- Scale bench: the full columnar path at paper-exceeding sizes ---
 
@@ -1163,31 +650,25 @@ let all_experiments =
     ("tab4", run_tab4);
     ("fig6", run_fig6);
     ("fig7", run_fig7);
-    ("bechamel", run_bechamel);
     ("ablation-skyline", run_ablation_skyline);
     ("ablation-anchors", run_ablation_anchors);
     ("ablation-prune", run_ablation_prune);
     ("ablation-nonlinear", run_ablation_nonlinear);
   ]
 
-(* Runnable by name only — never part of the default "all" run (see the
-   determinism note above [run_scale]). *)
-let extra_experiments = [ ("scale", run_scale) ]
+(* Runnable by name only — never part of the default "all" run: lp's
+   kernel loops are pure timing, and scale's runtime and artifact counters
+   depend on -scale and -cache (see the note above [run_scale]). *)
+let extra_experiments = [ ("lp", run_lp); ("scale", run_scale) ]
 
 let () =
   Arg.parse spec (fun name -> selected := name :: !selected) usage;
-  if !quick then begin
-    scale := 0.05;
-    utilities := 3;
-    max_n := 10_000
-  end;
   if !jobs < 1 then begin
     Printf.eprintf "-j must be >= 1 (got %d)\n" !jobs;
     exit 2
   end;
   let chosen =
     match List.rev !selected with
-    | [] when !faults || !lp_micro || !serve_bench -> []
     | [] | [ "all" ] -> List.map fst all_experiments
     | names -> names
   in
@@ -1196,9 +677,6 @@ let () =
   Printf.printf
     "indistinguishability-query benchmarks (seed=%d scale=%g utilities=%d max-n=%d)\n\n%!"
     !seed !scale !utilities !max_n;
-  if !faults then run_faults ();
-  if !lp_micro then run_lp_micro ();
-  if !serve_bench then run_serve ();
   Pool.with_pool ~domains:!jobs (fun p ->
       if Pool.size p > 1 then pool := Some p;
       let total_start = Timer.cpu () in
@@ -1242,8 +720,6 @@ let () =
       Printf.fprintf oc
         ",\n\"scale_probe\":{\"rounds\":%d,\"minor_words\":[%s],\"sweep_minor_words\":[%s]}"
         (List.length rounds) (nums fst) (nums snd));
-    if !serve_json <> "" then
-      Printf.fprintf oc ",\n\"serve\":%s" !serve_json;
     output_string oc "}\n";
     close_out oc;
     Printf.eprintf "wrote %s\n" !json_file

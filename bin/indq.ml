@@ -769,7 +769,7 @@ let profile_cmd =
 (* --- serve --- *)
 
 (* SITE=TRIGGER with TRIGGER one of once:K, every:K, after:K, always —
-   matching the trigger grammar of bench/main.exe -faults. *)
+   one spelling per armed [Fault.trigger] constructor. *)
 let parse_fault_arm text =
   let fail msg = Error (`Msg msg) in
   match String.index_opt text '=' with

@@ -397,32 +397,47 @@ let test_idle_eviction () =
 
 (* --- LRU eviction transparency ------------------------------------------ *)
 
-let test_eviction_transparency () =
-  let hellos =
-    List.init 6 (fun i ->
-        mk_hello ~n:80 ~seed:(100 + (7 * i)) (Printf.sprintf "lru-%d" i))
-  in
+(* Run [hellos] round-robin through an engine capped at [max_hydrated]
+   sessions and byte-compare every final [done] line with an uncapped
+   engine's: eviction plus rehydration must be invisible in the results,
+   while the counters prove the round trips happened. *)
+let check_eviction_transparency ~label ~max_hydrated hellos =
   let reference = reference_lines hellos in
   let dir = temp_dir "indq-serve-lru" in
-  let engine = mk_engine ~max_hydrated:2 dir in
+  let engine = mk_engine ~max_hydrated dir in
   let before = Counter.snapshot () in
-  (* One answer per session per pass: every pass churns all six sessions
-     through the two available slots. *)
+  (* One answer per session per pass: every pass churns all the sessions
+     through the available slots. *)
   let finals =
     round_robin engine hellos ~after_pass:(fun () ->
-        Alcotest.(check int) "capacity respected" 2 (Engine.hydrated engine))
+        Alcotest.(check int)
+          (label ^ ": capacity respected")
+          max_hydrated (Engine.hydrated engine))
   in
   Engine.shutdown engine;
   let delta = Counter.since before in
   let v name = match List.assoc_opt name delta with Some x -> x | None -> 0. in
-  Alcotest.(check bool) "evictions happened" true (v "serve.evictions" > 0.);
-  Alcotest.(check bool) "rehydrations happened" true (v "serve.hydrations" > 0.);
+  Alcotest.(check bool) (label ^ ": evictions happened") true
+    (v "serve.evictions" > 0.);
+  Alcotest.(check bool) (label ^ ": rehydrations happened") true
+    (v "serve.hydrations" > 0.);
   List.iteri
-    (fun i expected ->
+    (fun i (h, expected) ->
       Alcotest.(check string)
-        (Printf.sprintf "final line of lru-%d byte-identical" i)
+        (Printf.sprintf "%s: final line of %s byte-identical" label h.Wire.id)
         expected (List.nth finals i))
-    reference
+    (List.combine hellos reference)
+
+let test_eviction_transparency () =
+  check_eviction_transparency ~label:"6 sessions, 2 slots" ~max_hydrated:2
+    (List.init 6 (fun i ->
+         mk_hello ~n:80 ~seed:(100 + (7 * i)) (Printf.sprintf "lru-%d" i)));
+  (* Larger anti-correlated catalogues, twelve sessions through three
+     slots. *)
+  check_eviction_transparency ~label:"12 sessions, 3 slots" ~max_hydrated:3
+    (List.init 12 (fun i ->
+         mk_hello ~data:"anti_correlated" ~n:300 ~seed:(2024 + (7 * i))
+           (Printf.sprintf "evict-%02d" i)))
 
 (* --- The shared catalogue table ----------------------------------------- *)
 
