@@ -334,9 +334,11 @@ let run_ablation_nonlinear () =
   print_endline
     "degrades both -- quantifying the cost of the paper's linearity assumption.\n"
 
-(* --- LP micro-benchmark (lp): flat-kernel throughput and the latency of
-   a value query answered by forking a region's frozen tableau vs the
-   from-scratch [Lp.solve] rebuild over the same constraints.  The
+(* --- LP micro-benchmark (lp): flat-kernel throughput, the cost of a
+   value query on regions of 10 to 160 cuts, and the latency of a value
+   query answered by forking a region's frozen tableau vs the
+   from-scratch [Lp.solve] rebuild over the same constraints.  It exits 1
+   when the two answers disagree.  The
    pivot-count distribution and the agreement audit are deterministic in
    -seed; every wall-clock figure is gated behind -no-times like the rest
    of the harness. *)
@@ -415,6 +417,41 @@ let run_lp () =
         [ string_of_int n; gated dot; gated axpy; gated pivot ])
     [ 16; 128; 1024 ];
   Tabulate.print kernels;
+  (* Fork cost: a value query on a region of c cuts forks the region's
+     frozen tableau and re-optimizes on the fork.  The dictionary tableau
+     copies c rows of d cells, so the cost should grow about linearly in
+     c.  Every cut passes near the simplex centre, so no region is
+     empty. *)
+  let forks =
+    Tabulate.create ~title:"fork + optimize, d=6 (us/query)"
+      ~columns:[ "cuts"; "queries"; "us/query" ]
+  in
+  List.iter
+    (fun cuts ->
+      let d = 6 and queries = 200 in
+      let rng = Rng.create (!seed + cuts) in
+      let centre = Vec.make d (1. /. float_of_int d) in
+      let r = ref (Polytope.simplex d) in
+      for _ = 1 to cuts do
+        let normal = Vec.init d (fun _ -> Rng.float rng 2. -. 1.) in
+        r :=
+          Polytope.cut !r
+            (Halfspace.ge normal (Vec.dot normal centre -. Rng.float rng 0.05))
+      done;
+      (* Replay the frozen tableau before the clock starts. *)
+      ignore (Polytope.is_empty !r);
+      let objectives =
+        Array.init queries (fun _ -> Vec.init d (fun _ -> Rng.uniform rng))
+      in
+      let _, secs =
+        Timer.time (fun () ->
+            Array.iter (fun c -> ignore (Polytope.maximize !r c)) objectives)
+      in
+      Tabulate.add_row forks
+        [ string_of_int cuts; string_of_int queries;
+          gated (Printf.sprintf "%.1f" (secs /. float_of_int queries *. 1e6)) ])
+    [ 10; 40; 80; 160 ];
+  Tabulate.print forks;
   (* Fork vs rebuild: random shrinking-region families.  The dual path is
      the audited polytope wrapper (fork the frozen tableau, re-optimize);
      the rebuild solves the same constraint list from scratch with
@@ -496,7 +533,12 @@ let run_lp () =
   Printf.printf "counters: lp.dual_reopt=%g lp.dual_pivots=%g lp.solves=%g\n"
     (counter "lp.dual_reopt") (counter "lp.dual_pivots") (counter "lp.solves");
   Printf.printf "agreement: %d/%d fork vs from-scratch (max |delta| = %.3g)\n\n"
-    !agreements !queries !max_gap
+    !agreements !queries !max_gap;
+  if !agreements < !queries then begin
+    Printf.eprintf "lp: %d of %d value queries disagree with Lp.solve\n"
+      (!queries - !agreements) !queries;
+    exit 1
+  end
 
 (* --- Scale bench: the full columnar path at paper-exceeding sizes ---
 

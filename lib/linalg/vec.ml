@@ -18,7 +18,13 @@ let of_buffer (b : buffer) : t = b
 
 let buffer (v : t) : buffer = v
 
-let dim = Array1.dim [@@indq.alloc_free "alias of the %caml_ba_dim_1 primitive"]
+(* The [(v : t)] annotations below are load-bearing: they fix the kind
+   and layout of every kernel's Bigarray arguments, so each
+   [Array1.unsafe_get] compiles to an unboxed Float64 load.  Left
+   polymorphic, a kernel goes through the generic C accessor, which boxes
+   every float it reads (ANA002 reports such a kernel). *)
+let dim (v : t) = Array1.dim v
+[@@inline] [@@indq.alloc_free "the %caml_ba_dim_1 primitive at the Float64 kind"]
 
 let create d =
   if d < 0 then invalid_arg "Vec.create: negative dimension";
@@ -61,7 +67,7 @@ let set (v : t) i x = Array1.set v i x
 
 let fill (v : t) x = Array1.fill v x
 
-let check_same_dim name a b =
+let check_same_dim name (a : t) (b : t) =
   if dim a <> dim b then
     (invalid_arg (name ^ ": dimension mismatch")
     [@indq.alloc_ok "cold caller-bug path: the message concat and raise \
@@ -72,7 +78,7 @@ let blit ~src ~dst =
   check_same_dim "Vec.blit" src dst;
   Array1.blit src dst
 
-let sub_view v ~pos ~len = Array1.sub v pos len
+let sub_view (v : t) ~pos ~len = Array1.sub v pos len
 
 let dot a b =
   check_same_dim "Vec.dot" a b;
@@ -131,6 +137,40 @@ let scale_ip c y =
   done
 [@@indq.alloc_free "in-place row scaling kernel of Lp.Live pivots"]
 
+(* Slice kernels over one flat row-major buffer: the row operations of a
+   dictionary tableau address rows by offset, so a pivot needs no view
+   descriptor per row.  Each validates its ranges once up front. *)
+let check_slice name v ~pos ~len =
+  if len < 0 || pos < 0 || pos + len > dim v then
+    (invalid_arg (name ^ ": slice out of range")
+    [@indq.alloc_ok "cold caller-bug path: the message concat and raise \
+                     run only on a precondition violation"])
+[@@indq.alloc_free "range guard shared by the slice kernels"]
+
+let axpy_slice c x ~xpos y ~ypos ~len =
+  check_slice "Vec.axpy_slice" x ~pos:xpos ~len;
+  check_slice "Vec.axpy_slice" y ~pos:ypos ~len;
+  for i = 0 to len - 1 do
+    Array1.unsafe_set y (ypos + i)
+      ((c *. Array1.unsafe_get x (xpos + i)) +. Array1.unsafe_get y (ypos + i))
+  done
+[@@indq.alloc_free "in-place row elimination kernel of Lp.Live pivots"]
+
+let scale_slice c y ~pos ~len =
+  check_slice "Vec.scale_slice" y ~pos ~len;
+  for i = pos to pos + len - 1 do
+    Array1.unsafe_set y i (c *. Array1.unsafe_get y i)
+  done
+[@@indq.alloc_free "in-place row scaling kernel of Lp.Live pivots"]
+
+let blit_slice ~src ~src_pos ~dst ~dst_pos ~len =
+  check_slice "Vec.blit_slice" src ~pos:src_pos ~len;
+  check_slice "Vec.blit_slice" dst ~pos:dst_pos ~len;
+  for i = 0 to len - 1 do
+    Array1.unsafe_set dst (dst_pos + i) (Array1.unsafe_get src (src_pos + i))
+  done
+[@@indq.alloc_free "row-block copy of Lp.Live forks and growth"]
+
 let norm2 a = sqrt (dot a a)
 
 let fold_left f acc a =
@@ -149,7 +189,13 @@ let normalize a =
   if n < 1e-12 then invalid_arg "Vec.normalize: zero vector";
   scale (1. /. n) a
 
-let sum a = fold_left ( +. ) 0. a
+let sum a =
+  let acc = ref 0. in
+  for i = 0 to dim a - 1 do
+    acc := !acc +. Array1.unsafe_get a i
+  done;
+  !acc
+[@@indq.alloc_free "hot reduction: local float accumulator is unboxed"]
 
 let max_coord a =
   if dim a = 0 then invalid_arg "Vec.max_coord: empty vector";

@@ -110,6 +110,26 @@ val axpy_ip : float -> t -> t -> unit
 val scale_ip : float -> t -> unit
 (** [scale_ip c y] sets [y.(i) <- c *. y.(i)]. *)
 
+(* Slice variants: the same per-coordinate expressions over
+   [len]-coordinate ranges addressed by offset, for row-major tableaux
+   kept in one flat buffer.  Each raises [Invalid_argument] when a range
+   escapes its vector. *)
+
+val axpy_slice :
+  float -> t -> xpos:int -> t -> ypos:int -> len:int -> unit
+(** [axpy_slice a x ~xpos y ~ypos ~len] sets
+    [y.(ypos + i) <- a *. x.(xpos + i) +. y.(ypos + i)] for [i < len].
+    [x] and [y] may be the same buffer if the two ranges do not
+    overlap. *)
+
+val scale_slice : float -> t -> pos:int -> len:int -> unit
+(** [scale_slice c y ~pos ~len] sets [y.(i) <- c *. y.(i)] for
+    [pos <= i < pos + len]. *)
+
+val blit_slice : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
+(** Copy [src.(src_pos .. src_pos + len - 1)] to
+    [dst.(dst_pos .. dst_pos + len - 1)] (non-overlapping ranges). *)
+
 val norm2 : t -> float
 (** Euclidean norm. *)
 

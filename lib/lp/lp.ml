@@ -2,7 +2,6 @@ module Counter = Indq_obs.Counter
 module Histogram = Indq_obs.Histogram
 module Fault = Indq_fault.Fault
 module Vec = Indq_linalg.Vec
-module Mat = Indq_linalg.Mat
 
 let c_solves = Counter.make "lp.solves"
 let c_dual_reopt = Counter.make "lp.dual_reopt"
@@ -45,29 +44,36 @@ let error_message = function
    turns out to hold a non-finite value, caught in [Live] and surfaced as [Failed (Numerical _)].  Never leaves this module. *)
 exception Bad_pivot of string
 
-(* Internal mutable tableau for the simplex.
+(* Internal dictionary tableau.
 
-   Columns: [0, n) structural vars, [n, art_start) slack/surplus vars,
-   [art_start, art_end) artificial vars, [art_end, ncols) slacks of rows
-   appended later by [Live.add_cut].  The live area is rows [0, m) and
-   columns [0, ncols) of a capacity grid: [data] rows keep every cell
-   beyond [ncols] at 0 and [obj] likewise, so whole-row kernel sweeps are
-   sound and appending a column is O(1) amortized.  Each row i carries its
-   right-hand side in [rhs.(i)]; the variable basic in row i is
-   [basis.(i)].  The objective row [obj] holds reduced costs for the
-   current basis and [obj_value] the negated objective so far (standard
-   tableau bookkeeping). *)
+   Variables: [0, n) structural, [n, art_start) slack/surplus of the
+   initial rows, [art_start, art_end) artificials (phase 1 only), and from
+   [art_end] on the slacks of rows appended by [Live.add_cut].  Constraint
+   row i reads [x_basis.(i) + sum_p a_ip x_nonbasic.(p) = rhs_i]: only the
+   k nonbasic variables own a stored column (a "position"), since a basic
+   variable's column is a unit vector.  Every row lives in one flat
+   row-major buffer [cells] of stride k + 1, the rhs in its last cell;
+   buffer row 0 is the objective (reduced costs, then the negated
+   objective value) and constraint row i is buffer row i + 1, so a pivot
+   eliminates the objective like any other row.  The buffer holds room
+   for more rows than [m]; only the first m + 1 are live.
+
+   A pivot puts the leaving variable in the entering one's position, so
+   positions are in no particular variable order; [order] lists them by
+   increasing variable index, and every scan walks it, so each pivot rule
+   breaks ties by variable index exactly as a scan over a full tableau's
+   columns does. *)
 type tableau = {
   n : int;  (* structural variables *)
-  art_start : int;  (* first artificial column *)
-  art_end : int;  (* one past the last artificial column *)
-  mutable m : int;  (* live rows *)
-  mutable ncols : int;  (* live columns *)
-  mutable data : Mat.t;  (* capacity grid; live rows/cols as above *)
-  mutable rhs : Vec.t;  (* capacity [Mat.rows data] *)
-  mutable basis : int array;  (* capacity [Mat.rows data] *)
-  mutable obj : Vec.t;  (* capacity [Mat.cols data] *)
-  mutable obj_value : float;
+  art_start : int;  (* first artificial variable *)
+  art_end : int;  (* one past the last artificial variable *)
+  k : int;  (* nonbasic positions *)
+  nonbasic : int array;  (* position -> variable *)
+  order : int array;  (* positions by increasing variable index *)
+  mutable m : int;  (* live constraint rows *)
+  mutable nvars : int;  (* the next appended slack's variable index *)
+  mutable cells : Vec.t;  (* (row capacity + 1) * (k + 1) cells *)
+  mutable basis : int array;  (* row -> basic variable; row capacity *)
   tol : float;
 }
 
@@ -80,24 +86,30 @@ let check_inputs ~n objective constraints =
         invalid_arg "Lp: constraint coefficient length <> n")
     constraints
 
-(* Build the phase-1 tableau.  Every row is first normalized to rhs >= 0.
-   [reserve] leaves headroom in both dimensions for rows a [Live] handle
-   appends later. *)
-let build ~tol ~n ~reserve constraints =
-  let cs = Array.of_list constraints in
-  let m = Array.length cs in
-  (* Count extra columns. *)
-  let slack_count =
-    Array.fold_left
-      (fun acc (c : constr) ->
-        match c.relation with Le | Ge -> acc + 1 | Eq -> acc)
-      0 cs
-  in
+(* Offset of constraint row [i] in [cells]; row -1 is the objective. *)
+let row_off t i = (i + 1) * (t.k + 1)
+[@@inline] [@@indq.alloc_free "integer offset arithmetic"]
+
+let cell t i p = Vec.get t.cells (row_off t i + p)
+[@@inline] [@@indq.alloc_free "inlined bounds-checked read of the flat buffer"]
+
+let rhs t i = cell t i t.k [@@inline] [@@indq.alloc_free "the rhs cell of a row"]
+
+(* A tableau shell with room for [cap] constraint rows, all cells 0. *)
+let alloc ~tol ~n ~art_start ~art_end ~nonbasic ~m ~nvars ~cap =
+  let k = Array.length nonbasic in
+  { n; art_start; art_end; k; nonbasic; order = Array.init k Fun.id; m;
+    nvars; cells = Vec.make ((cap + 1) * (k + 1)) 0.;
+    basis = Array.make cap (-1); tol }
+
+(* Build the phase-1 tableau, with one spare row.  Every row is first
+   normalized to rhs >= 0. *)
+let build ~tol ~n constraints =
   (* Normalize rows so rhs >= 0, which may flip the relation.  A >= row
      with rhs exactly 0 is rewritten as a <= row (negated): its slack can
      start basic at 0, avoiding an artificial variable — the common case
      for preference-hyperplane cuts [(a - b) . v >= 0]. *)
-  let normalized =
+  let cs =
     Array.map
       (fun (c : constr) ->
         if c.rhs < 0. || (Float.equal c.rhs 0. && c.relation = Ge) then
@@ -106,79 +118,93 @@ let build ~tol ~n ~reserve constraints =
           in
           { coeffs = Vec.neg c.coeffs; relation = flipped; rhs = -.c.rhs }
         else c)
-      cs
+      (Array.of_list constraints)
   in
-  (* A <= row with rhs >= 0 starts with its slack basic; >= and = rows need
-     an artificial.  Count artificials. *)
-  let art_count =
-    Array.fold_left
-      (fun acc (c : constr) ->
-        match c.relation with Le -> acc | Ge | Eq -> acc + 1)
-      0 normalized
+  let count rel =
+    Array.fold_left (fun acc (c : constr) -> acc + Bool.to_int (c.relation = rel)) 0 cs
   in
-  let art_start = n + slack_count in
-  let art_end = art_start + art_count in
-  let cap_rows = m + reserve and cap_cols = art_end + reserve in
-  let data = Mat.create (max cap_rows 1) (max cap_cols 1) in
-  let rhs = Vec.make (max cap_rows 1) 0. in
-  let basis = Array.make (max cap_rows 1) (-1) in
-  let next_slack = ref n in
-  let next_art = ref art_start in
+  let m = Array.length cs and ges = count Ge in
+  (* A <= row starts with its slack basic; >= and = rows start with an
+     artificial, and a >= row's surplus starts nonbasic. *)
+  let art_start = n + count Le + ges in
+  let art_end = art_start + ges + count Eq in
+  let nonbasic = Array.make (n + ges) 0 in
+  let t =
+    alloc ~tol ~n ~art_start ~art_end ~nonbasic ~m ~nvars:art_end ~cap:(m + 1)
+  in
+  for j = 0 to n - 1 do
+    nonbasic.(j) <- j
+  done;
+  let next_slack = ref n and next_art = ref art_start and next_pos = ref n in
   Array.iteri
     (fun i (c : constr) ->
-      let row = Mat.row_view data i in
-      Vec.blit ~src:c.coeffs ~dst:(Vec.sub_view row ~pos:0 ~len:n);
-      Vec.set rhs i c.rhs;
+      let o = row_off t i in
+      Vec.blit_slice ~src:c.coeffs ~src_pos:0 ~dst:t.cells ~dst_pos:o ~len:n;
+      Vec.set t.cells (o + t.k) c.rhs;
       match c.relation with
       | Le ->
-        Vec.set row !next_slack 1.;
-        basis.(i) <- !next_slack;
+        t.basis.(i) <- !next_slack;
         incr next_slack
       | Ge ->
-        Vec.set row !next_slack (-1.);
+        nonbasic.(!next_pos) <- !next_slack;
+        Vec.set t.cells (o + !next_pos) (-1.);
+        incr next_pos;
         incr next_slack;
-        Vec.set row !next_art 1.;
-        basis.(i) <- !next_art;
+        t.basis.(i) <- !next_art;
         incr next_art
       | Eq ->
-        Vec.set row !next_art 1.;
-        basis.(i) <- !next_art;
+        t.basis.(i) <- !next_art;
         incr next_art)
-    normalized;
-  (* Phase-1 objective: minimize the sum of artificials.  Express its reduced
-     costs for the starting basis by subtracting each artificial's row. *)
-  let obj = Vec.make (max cap_cols 1) 0. in
-  for j = art_start to art_end - 1 do
-    Vec.set obj j 1.
-  done;
-  let obj_value = ref 0. in
+    cs;
+  (* Phase-1 objective: minimize the sum of artificials.  Express its
+     reduced costs for the starting basis by subtracting each
+     artificial's row (the artificials are all basic, so own no cell). *)
   for i = 0 to m - 1 do
-    if basis.(i) >= art_start && basis.(i) < art_end then begin
-      Vec.axpy_ip (-1.) (Mat.row_view data i) obj;
-      obj_value := !obj_value -. Vec.get rhs i
-    end
+    if t.basis.(i) >= art_start then
+      Vec.axpy_slice (-1.) t.cells ~xpos:(row_off t i) t.cells ~ypos:0
+        ~len:(t.k + 1)
   done;
-  { n; art_start; art_end; m; ncols = art_end; data; rhs; basis; obj;
-    obj_value = !obj_value; tol }
+  t
+
+(* A fresh zeroed buffer of [size] cells that starts with [v]'s first
+   [len]. *)
+let prefix v ~len ~size =
+  let w = Vec.make size 0. in
+  Vec.blit_slice ~src:v ~src_pos:0 ~dst:w ~dst_pos:0 ~len;
+  w
 
 let tableau_corrupt t =
-  let bad x = not (Float.is_finite x) in
-  let live_bad v len =
-    let hit = ref false in
-    for i = 0 to len - 1 do
-      if bad (Vec.get v i) then hit := true
-    done;
-    !hit
-  in
-  let rows_bad = ref false in
-  for i = 0 to t.m - 1 do
-    if live_bad (Mat.row_view t.data i) t.ncols then rows_bad := true
+  let bad = ref false in
+  for c = 0 to row_off t t.m - 1 do
+    if not (Float.is_finite (Vec.get t.cells c)) then bad := true
   done;
-  live_bad t.rhs t.m || live_bad t.obj t.ncols || !rows_bad
+  !bad
 
-let pivot t ~row ~col =
+(* Restore [order] after one position's variable changed: an insertion
+   sort, linear here because only one key moved. *)
+let resort t =
+  for i = 1 to t.k - 1 do
+    let p = t.order.(i) in
+    let v = t.nonbasic.(p) in
+    let j = ref i in
+    while !j > 0 && t.nonbasic.(t.order.(!j - 1)) > v do
+      t.order.(!j) <- t.order.(!j - 1);
+      decr j
+    done;
+    t.order.(!j) <- p
+  done
+[@@indq.alloc_free "in-place insertion sort over int arrays"]
+
+(* Pivot on constraint row [row] and position [pos]: the entering
+   variable [nonbasic.(pos)] becomes basic in [row], and the leaving
+   variable takes over [pos].  The pivot row is scaled by 1/p, and its
+   [pos] cell becomes 1/p (the leaving variable's column).  Every other
+   row subtracts f times it after zeroing its [pos] cell, which leaves
+   -f/p there. *)
+let pivot t ~row ~pos =
   Counter.incr c_dual_pivots;
-  let pivot_value = Mat.get t.data row col in
+  let r = row_off t row in
+  let pivot_value = Vec.get t.cells (r + pos) in
   if
     not
       ((Float.is_finite pivot_value)
@@ -188,99 +214,73 @@ let pivot t ~row ~col =
   then
     (raise
        (Bad_pivot
-          (Printf.sprintf "non-finite pivot element in row %d, column %d" row
-             col))
+          (Printf.sprintf "non-finite pivot element in row %d, position %d"
+             row pos))
     [@indq.alloc_ok
       "cold failure path: the exception payload only materializes when \
        the tableau is already corrupt"]);
-  let r =
-    (Mat.row_view t.data row
-    [@indq.alloc_ok
-      "one O(1) view descriptor per pivot, amortized over the O(m*n) \
-       row sweep it enables; the sweep itself stays in-place"])
-  in
-  Vec.scale_ip (1. /. pivot_value) r;
-  Vec.set t.rhs row (Vec.get t.rhs row /. pivot_value);
-  (* Cells beyond [ncols] are zero in every row and in [obj], so the
-     full-capacity kernel sweeps below leave them zero. *)
-  for i = 0 to t.m - 1 do
+  let inv = 1. /. pivot_value in
+  Vec.scale_slice inv t.cells ~pos:r ~len:t.k;
+  Vec.set t.cells (r + pos) inv;
+  Vec.set t.cells (r + t.k) (Vec.get t.cells (r + t.k) /. pivot_value);
+  for i = -1 to t.m - 1 do
     if i <> row then begin
-      let factor = Mat.get t.data i col in
+      let o = row_off t i in
+      let factor = Vec.get t.cells (o + pos) in
       if Float.abs factor > 0. then begin
-        Vec.axpy_ip (-.factor) r
-          (Mat.row_view t.data i
-          [@indq.alloc_ok
-            "one O(1) view descriptor per eliminated row, amortized over \
-             the O(n) axpy it feeds"]);
-        Vec.set t.rhs i (Vec.get t.rhs i -. (factor *. Vec.get t.rhs row))
+        Vec.set t.cells (o + pos) 0.;
+        Vec.axpy_slice (-.factor) t.cells ~xpos:r t.cells ~ypos:o
+          ~len:(t.k + 1)
       end
     end
   done;
-  let factor = Vec.get t.obj col in
-  if Float.abs factor > 0. then begin
-    Vec.axpy_ip (-.factor) r t.obj;
-    ((t.obj_value <- t.obj_value -. (factor *. Vec.get t.rhs row))
-    [@indq.alloc_ok
-      "one boxed float per pivot: obj_value lives in a mixed record, so \
-       the store boxes; bounded by the pivot count, not the row sweep"])
-  end;
-  t.basis.(row) <- col
+  let entering = t.nonbasic.(pos) in
+  t.nonbasic.(pos) <- t.basis.(row);
+  t.basis.(row) <- entering;
+  resort t
 [@@indq.alloc_free
-  "dual-simplex pivot kernel: row normalization and elimination run as \
-   in-place Vec kernels over the flat tableau; the audited exceptions \
-   are the O(1)-per-pivot view descriptors and the obj_value box"]
+  "dual-simplex pivot kernel: row scaling and elimination run as \
+   in-place slice kernels over the flat dictionary"]
 
-(* Columns an entering pivot may use: artificials are frozen once phase 1
-   ends, everything else — structural, slack, appended slack — is fair. *)
-let col_allowed t j = j < t.art_start || j >= t.art_end
-
-(* Entering column under the requested pivot rule, or -1 at optimality.
-   Dantzig picks the most negative reduced cost (smallest index on exact
-   ties) — fast, but can cycle on degenerate problems; Bland picks the
-   smallest index with a negative reduced cost, which provably terminates. *)
-let entering_column t ~rule ~allowed =
-  match rule with
-  | `Bland ->
-    let entering = ref (-1) in
-    (try
-       for j = 0 to t.ncols - 1 do
-         if allowed j && Vec.get t.obj j < -.t.tol then begin
-           entering := j;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !entering
-  | `Dantzig ->
-    let entering = ref (-1) in
-    let best = ref (-.t.tol) in
-    for j = 0 to t.ncols - 1 do
-      if allowed j && Vec.get t.obj j < !best then begin
-        entering := j;
-        best := Vec.get t.obj j
-      end
-    done;
-    !entering
+(* Entering position under the requested pivot rule, or -1 at
+   optimality.  Dantzig picks the most negative reduced cost (smallest
+   variable index on exact ties) — fast, but can cycle on degenerate
+   problems; Bland picks the smallest variable index with a negative
+   reduced cost, which provably terminates. *)
+let entering_position t ~rule =
+  let entering = ref (-1) in
+  let best = ref (-.t.tol) in
+  (try
+     for j = 0 to t.k - 1 do
+       let p = t.order.(j) in
+       if Vec.get t.cells p < !best then begin
+         entering := p;
+         match rule with
+         | `Bland -> raise Exit
+         | `Dantzig -> best := Vec.get t.cells p
+       end
+     done
+   with Exit -> ());
+  !entering
 
 (* One simplex run on the current objective row under one pivot rule.
-   [allowed j] restricts the entering columns (used to freeze artificials
-   in phase 2); [fuel] is the remaining pivot budget, checked before each
-   pivot.  Returns [`Optimal], [`Unbounded], or [`Budget] when the fuel
-   runs out with the tableau still improvable — at a basis every pivot so
-   far kept feasible, so another rule can continue from it. *)
-let solve_phase t ~rule ~allowed ~fuel =
+   [fuel] is the remaining pivot budget, checked before each pivot.
+   Returns [`Optimal], [`Unbounded], or [`Budget] when the fuel runs out
+   with the tableau still improvable — at a basis every pivot so far kept
+   feasible, so another rule can continue from it. *)
+let solve_phase t ~rule ~fuel =
   let rec iterate () =
-    let col = entering_column t ~rule ~allowed in
-    if col < 0 then `Optimal
+    let pos = entering_position t ~rule in
+    if pos < 0 then `Optimal
     else if !fuel <= 0 then `Budget
     else begin
       (* Ratio test; Bland tie-break on smallest basic variable index. *)
       let best_row = ref (-1) in
       let best_ratio = ref infinity in
       for i = 0 to t.m - 1 do
-        let a = Mat.get t.data i col in
+        let a = cell t i pos in
         if a > t.tol then begin
-          let ratio = Vec.get t.rhs i /. a in
+          let ratio = rhs t i /. a in
           if
             ratio < !best_ratio -. t.tol
             || (Float.abs (ratio -. !best_ratio) <= t.tol
@@ -294,38 +294,72 @@ let solve_phase t ~rule ~allowed ~fuel =
       if !best_row < 0 then `Unbounded
       else begin
         decr fuel;
-        pivot t ~row:!best_row ~col;
+        pivot t ~row:!best_row ~pos;
         iterate ()
       end
     end
   in
   iterate ()
 
-(* Drive any artificial variable that is still basic (necessarily at value
-   ~0) out of the basis, or mark its row as redundant by leaving it — the row
-   then has all-zero structural coefficients and never constrains phase 2
-   because artificial columns are frozen. *)
-let expel_artificials t =
+let is_artificial t v = v >= t.art_start && v < t.art_end
+
+(* End phase 1.  Drive every artificial still basic (necessarily at value
+   ~0) out of the basis on the first structural or slack variable with a
+   nonzero entry in its row.  An artificial with no such entry sits on a
+   redundant row, which is deleted.  The nonbasic artificials never
+   enter again, so their positions are dropped: the result carries no
+   artificial at all. *)
+let drop_artificials t =
   for i = 0 to t.m - 1 do
-    if t.basis.(i) >= t.art_start && t.basis.(i) < t.art_end then begin
-      let col = ref (-1) in
+    if is_artificial t t.basis.(i) then begin
+      let pos = ref (-1) in
       (try
-         for j = 0 to t.art_start - 1 do
-           if Float.abs (Mat.get t.data i j) > t.tol then begin
-             col := j;
+         for j = 0 to t.k - 1 do
+           let p = t.order.(j) in
+           if
+             t.nonbasic.(p) < t.art_start
+             && Float.abs (cell t i p) > t.tol
+           then begin
+             pos := p;
              raise Exit
            end
          done
        with Exit -> ());
-      if !col >= 0 then pivot t ~row:i ~col:!col
+      if !pos >= 0 then pivot t ~row:i ~pos:!pos
     end
-  done
+  done;
+  let keep_pos =
+    Array.of_list
+      (List.filter
+         (fun p -> not (is_artificial t t.nonbasic.(p)))
+         (Array.to_list t.order))
+  in
+  let keep_rows =
+    List.filter
+      (fun i -> not (is_artificial t t.basis.(i)))
+      (List.init t.m Fun.id)
+  in
+  let m = List.length keep_rows in
+  let t' =
+    alloc ~tol:t.tol ~n:t.n ~art_start:t.art_start ~art_end:t.art_end
+      ~nonbasic:(Array.map (fun p -> t.nonbasic.(p)) keep_pos)
+      ~m ~nvars:t.nvars ~cap:(m + 1)
+  in
+  List.iteri
+    (fun i' i ->
+      t'.basis.(i') <- t.basis.(i);
+      Array.iteri
+        (fun p' p -> Vec.set t'.cells (row_off t' i' + p') (cell t i p))
+        keep_pos;
+      Vec.set t'.cells (row_off t' i' + t'.k) (rhs t i))
+    keep_rows;
+  t'
 
 let extract_point t =
   let x = Vec.make t.n 0. in
   for i = 0 to t.m - 1 do
     let b = t.basis.(i) in
-    if b < t.n then Vec.set x b (Vec.get t.rhs i)
+    if b < t.n then Vec.set x b (rhs t i)
   done;
   x
 
@@ -333,7 +367,7 @@ let extract_point t =
    arithmetic that slipped past the per-pivot guard is caught here instead
    of leaking NaN into geometry. *)
 let final_solution t =
-  let objective = -.t.obj_value in
+  let objective = -.rhs t (-1) in
   let point = extract_point t in
   if Float.is_finite objective && Vec.for_all Float.is_finite point then
     Ok { objective; point }
@@ -342,19 +376,17 @@ let final_solution t =
 (* Install a fresh objective (phase 2) and express it in terms of the current
    basis. *)
 let install_objective t cost =
-  let obj = Vec.make (Mat.cols t.data) 0. in
-  Vec.blit ~src:cost ~dst:(Vec.sub_view obj ~pos:0 ~len:t.n);
-  let obj_value = ref 0. in
+  Vec.set t.cells t.k 0.;
+  for p = 0 to t.k - 1 do
+    let v = t.nonbasic.(p) in
+    Vec.set t.cells p (if v < t.n then Vec.get cost v else 0.)
+  done;
   for i = 0 to t.m - 1 do
     let b = t.basis.(i) in
-    if Float.abs (Vec.get obj b) > 0. then begin
-      let factor = Vec.get obj b in
-      Vec.axpy_ip (-.factor) (Mat.row_view t.data i) obj;
-      obj_value := !obj_value -. (factor *. Vec.get t.rhs i)
-    end
-  done;
-  t.obj <- obj;
-  t.obj_value <- !obj_value
+    if b < t.n && Float.abs (Vec.get cost b) > 0. then
+      Vec.axpy_slice (-.Vec.get cost b) t.cells ~xpos:(row_off t i) t.cells
+        ~ypos:0 ~len:(t.k + 1)
+  done
 
 (* Default pivot budget: generous for the small problems this solver sees
    (d <= 10 variables, a few dozen constraints need well under a hundred
@@ -366,11 +398,11 @@ let default_budget ~n ~m = 1000 + (50 * (n + (3 * m)))
    that runs out — Bland's rule from the same feasible basis under
    [budget] more, with no rebuild.  Bland cannot cycle, so [`Budget] here
    means the budget is truly exhausted. *)
-let run_phase t ~allowed ~primary ~budget =
-  match solve_phase t ~rule:`Dantzig ~allowed ~fuel:(ref primary) with
+let run_phase t ~primary ~budget =
+  match solve_phase t ~rule:`Dantzig ~fuel:(ref primary) with
   | `Budget -> (
     Counter.incr c_retry_attempts;
-    match solve_phase t ~rule:`Bland ~allowed ~fuel:(ref budget) with
+    match solve_phase t ~rule:`Bland ~fuel:(ref budget) with
     | `Budget ->
       Counter.incr c_retry_exhausted;
       `Budget
@@ -410,49 +442,35 @@ module Live = struct
     | Some b -> max 0 b
     | None -> default_budget ~n:h.tab.n ~m:h.tab.m
 
-  (* Grow the capacity grid.  Fresh cells are zero, preserving the
-     "dead area is all zeros" invariant the pivot sweeps rely on. *)
-  let ensure_capacity t ~rows ~cols =
-    let cap_rows = Mat.rows t.data and cap_cols = Mat.cols t.data in
-    if rows > cap_rows || cols > cap_cols then begin
-      let new_rows = if rows > cap_rows then max rows (2 * cap_rows) else cap_rows in
-      let new_cols = if cols > cap_cols then max cols (2 * cap_cols) else cap_cols in
-      let data = Mat.create new_rows new_cols in
-      for i = 0 to t.m - 1 do
-        Vec.blit
-          ~src:(Mat.row_view t.data i)
-          ~dst:(Vec.sub_view (Mat.row_view data i) ~pos:0 ~len:cap_cols)
-      done;
-      t.data <- data;
-      let rhs = Vec.make new_rows 0. in
-      Vec.blit ~src:t.rhs ~dst:(Vec.sub_view rhs ~pos:0 ~len:cap_rows);
-      t.rhs <- rhs;
-      let basis = Array.make new_rows (-1) in
-      Array.blit t.basis 0 basis 0 cap_rows;
-      t.basis <- basis;
-      let obj = Vec.make new_cols 0. in
-      Vec.blit ~src:t.obj ~dst:(Vec.sub_view obj ~pos:0 ~len:cap_cols);
-      t.obj <- obj
+  (* Grow the row capacity; the stride never changes. *)
+  let ensure_capacity t rows =
+    let cap = Array.length t.basis in
+    if rows > cap then begin
+      let cap = max rows (2 * cap) in
+      t.cells <- prefix t.cells ~len:(row_off t t.m) ~size:(row_off t cap);
+      t.basis <- Array.init cap (fun i -> if i < t.m then t.basis.(i) else -1)
     end
 
+  (* Fork: the live rows plus one spare row, room for the next cut. *)
   let copy h =
     let t = h.tab in
+    let cap = t.m + 1 in
     {
       h with
       tab =
         {
           t with
-          data = Mat.copy t.data;
-          rhs = Vec.copy t.rhs;
-          basis = Array.copy t.basis;
-          obj = Vec.copy t.obj;
+          nonbasic = Array.copy t.nonbasic;
+          order = Array.copy t.order;
+          cells = prefix t.cells ~len:(row_off t t.m) ~size:(row_off t cap);
+          basis = Array.init cap (fun i -> if i < t.m then t.basis.(i) else -1);
         };
     }
 
-  (* Build a tableau over the constraint list and run phase 1 to a
-     feasible basis, leaving headroom for the cuts a live handle exists to
-     absorb.  The [inject.lp_nan_pivot] site corrupts the fresh tableau,
-     which the corruption scan turns into [`Failed (Numerical _)]. *)
+  (* Build a tableau over the constraint list, run phase 1 to a feasible
+     basis and drop the artificials.  The [inject.lp_nan_pivot] site
+     corrupts the fresh tableau, which the corruption scan turns into
+     [`Failed (Numerical _)]. *)
   let create ?(tol = 1e-9) ?max_pivots ~n constraints =
     check_inputs ~n (Vec.make n 0.) constraints;
     let budget =
@@ -465,27 +483,30 @@ module Live = struct
       `Failed err
     in
     match
-      let t = build ~tol ~n ~reserve:8 constraints in
+      let t = build ~tol ~n constraints in
       if Fault.fire "inject.lp_nan_pivot" then begin
-        Vec.set t.obj 0 Float.nan;
+        Vec.set t.cells 0 Float.nan;
         if tableau_corrupt t then raise (Bad_pivot "non-finite tableau entry")
       end;
-      (t, run_phase t ~allowed:(fun _ -> true) ~primary:budget ~budget)
+      match run_phase t ~primary:budget ~budget with
+      | `Optimal ->
+        (* The objective row's last cell holds the negated phase-1
+           objective. *)
+        if -.rhs t (-1) > 1e-7 then `Infeasible
+        else begin
+          let t = drop_artificials t in
+          install_objective t (Vec.make n 0.);
+          `Feasible t
+        end
+      | (`Budget | `Unbounded) as r -> r
     with
     | exception Bad_pivot detail -> fail (Numerical { detail })
-    | _, `Budget -> fail (Iteration_limit { budget })
-    | _, `Unbounded ->
+    | `Budget -> fail (Iteration_limit { budget })
+    | `Unbounded | `Infeasible ->
       (* The phase-1 objective (a sum of artificials, each bounded below
          by 0) cannot be unbounded; treat as numerically infeasible. *)
       `Infeasible
-    | t, `Optimal ->
-      (* obj_value holds the negated phase-1 objective. *)
-      if -.t.obj_value > 1e-7 then `Infeasible
-      else begin
-        expel_artificials t;
-        install_objective t (Vec.make n 0.);
-        `Feasible { tab = t; max_pivots; ok = true }
-      end
+    | `Feasible t -> `Feasible { tab = t; max_pivots; ok = true }
 
   (* The primary budget of one [add_cut] / [optimize] run: the armed
      [inject.lp_iteration_cap] site collapses it to zero. *)
@@ -493,71 +514,63 @@ module Live = struct
     if Fault.fire "inject.lp_iteration_cap" then 0 else budget h
 
   (* Append one row in <= form with a fresh basic slack, re-expressed in
-     the current basis.  Returns the new row's index. *)
-  let append_le_row t coeffs rhs =
-    ensure_capacity t ~rows:(t.m + 1) ~cols:(t.ncols + 1);
-    let row_idx = t.m and slack_col = t.ncols in
-    let row = Mat.row_view t.data row_idx in
-    Vec.fill row 0.;
-    Vec.blit ~src:coeffs ~dst:(Vec.sub_view row ~pos:0 ~len:t.n);
-    Vec.set row slack_col 1.;
-    Vec.set t.rhs row_idx rhs;
-    t.basis.(row_idx) <- slack_col;
-    t.m <- t.m + 1;
-    t.ncols <- t.ncols + 1;
-    (* Eliminate the current basic columns from the fresh row so the
-       tableau stays in canonical form; the slack picks up the row's
-       infeasibility (its value becomes rhs - coeffs . x̄). *)
-    for i = 0 to t.m - 2 do
-      let b = t.basis.(i) in
-      let f = Vec.get row b in
-      if Float.abs f > 0. then begin
-        Vec.axpy_ip (-.f) (Mat.row_view t.data i) row;
-        Vec.set t.rhs row_idx
-          (Vec.get t.rhs row_idx -. (f *. Vec.get t.rhs i))
-      end
+     the current basis: subtracting each basic structural variable's row
+     leaves the slack's value at rhs - coeffs . x̄. *)
+  let append_le_row t coeffs rhs_value =
+    ensure_capacity t (t.m + 1);
+    let o = row_off t t.m in
+    for p = 0 to t.k - 1 do
+      let v = t.nonbasic.(p) in
+      Vec.set t.cells (o + p) (if v < t.n then Vec.get coeffs v else 0.)
     done;
-    row_idx
+    Vec.set t.cells (o + t.k) rhs_value;
+    for i = 0 to t.m - 1 do
+      let b = t.basis.(i) in
+      if b < t.n && Float.abs (Vec.get coeffs b) > 0. then
+        Vec.axpy_slice (-.Vec.get coeffs b) t.cells ~xpos:(row_off t i)
+          t.cells ~ypos:o ~len:(t.k + 1)
+    done;
+    t.basis.(t.m) <- t.nvars;
+    t.nvars <- t.nvars + 1;
+    t.m <- t.m + 1
 
   (* Dual simplex: while some row is primal infeasible, pivot it out on the
-     column minimizing |reduced cost / element| over negative elements —
+     position minimizing |reduced cost / element| over negative elements —
      reduced costs stay non-negative (dual feasible), the basis walks back
      to primal feasibility.  A row with no negative element certifies
      infeasibility.  Deterministic tie-breaks: most negative rhs then
-     lowest row index; lowest column index on ratio ties. *)
+     lowest row index; lowest variable index on ratio ties. *)
   let dual_restore t ~fuel =
     let rec iterate pivots =
       (* Leaving row: most negative rhs. *)
       let row = ref (-1) in
       let worst = ref (-.t.tol) in
       for i = 0 to t.m - 1 do
-        if Vec.get t.rhs i < !worst then begin
+        if rhs t i < !worst then begin
           row := i;
-          worst := Vec.get t.rhs i
+          worst := rhs t i
         end
       done;
       if !row < 0 then `Feasible pivots
       else if !fuel <= 0 then `Budget
       else begin
-        let r = Mat.row_view t.data !row in
-        let col = ref (-1) in
+        let pos = ref (-1) in
         let best_ratio = ref infinity in
-        for j = 0 to t.ncols - 1 do
-          if col_allowed t j then begin
-            let a = Vec.get r j in
-            if a < -.t.tol then begin
-              let ratio = Vec.get t.obj j /. -.a in
-              if ratio < !best_ratio -. t.tol then begin
-                col := j;
-                best_ratio := ratio
-              end
+        for j = 0 to t.k - 1 do
+          let p = t.order.(j) in
+          let a = cell t !row p in
+          if a < -.t.tol then begin
+            let ratio = Vec.get t.cells p /. -.a in
+            if ratio < !best_ratio -. t.tol then begin
+              pos := p;
+              best_ratio := ratio
             end
           end
         done;
-        if !col < 0 then `Infeasible
+        if !pos < 0 then `Infeasible
         else begin
           decr fuel;
-          pivot t ~row:!row ~col:!col;
+          pivot t ~row:!row ~pos:!pos;
           iterate (pivots + 1)
         end
       end
@@ -574,11 +587,11 @@ module Live = struct
       let t = h.tab in
       (* Express the cut in <= form; an equality contributes both sides. *)
       (match c.relation with
-      | Le -> ignore (append_le_row t c.coeffs c.rhs)
-      | Ge -> ignore (append_le_row t (Vec.neg c.coeffs) (-.c.rhs))
+      | Le -> append_le_row t c.coeffs c.rhs
+      | Ge -> append_le_row t (Vec.neg c.coeffs) (-.c.rhs)
       | Eq ->
-        ignore (append_le_row t c.coeffs c.rhs);
-        ignore (append_le_row t (Vec.neg c.coeffs) (-.c.rhs)));
+        append_le_row t c.coeffs c.rhs;
+        append_le_row t (Vec.neg c.coeffs) (-.c.rhs));
       let fuel = ref (primary_budget h) in
       let result =
         match dual_restore t ~fuel with
@@ -618,8 +631,7 @@ module Live = struct
       let result =
         match
           install_objective t (internal_cost direction objective);
-          run_phase t ~allowed:(col_allowed t) ~primary:(primary_budget h)
-            ~budget:(budget h)
+          run_phase t ~primary:(primary_budget h) ~budget:(budget h)
         with
         | `Optimal -> (
           match final_solution t with

@@ -5,9 +5,14 @@
     the Lemma 2 pruning test, and the width/diameter metrics of the MinR and
     MinD heuristics.  Problems here are small — [d <= 10] variables and a few
     dozen constraints — so a dense tableau is both simple and fast.  The
-    tableau lives in one flat row-major {!Indq_linalg.Mat.t} buffer, so each
-    pivot streams cache-contiguous rows through the
-    {!Indq_linalg.Vec.axpy_ip} / [scale_ip] kernels.
+    tableau is a dictionary: each row stores only the nonbasic columns
+    plus its rhs ([d] cells and one for a region's tableau, whatever the
+    cut count), all rows in one flat row-major buffer, and each pivot
+    streams them through the {!Indq_linalg.Vec.axpy_slice} /
+    [scale_slice] kernels.  Every pivot rule breaks ties by variable
+    index, so the dictionary makes the decisions a full tableau would;
+    its floats differ in round-off only (a full tableau carries residues
+    in its basic columns where a dictionary keeps exact unit vectors).
 
     All structural variables are constrained to be non-negative ([x >= 0]),
     which matches utility vectors [u] in the non-negative orthant.  General
@@ -128,7 +133,8 @@ module Live : sig
       counts in ["lp.failures"]. *)
 
   val copy : t -> t
-  (** Fork the tableau: the copy refines independently.  O(rows·cols). *)
+  (** Fork the tableau: the copy refines independently.  It copies the
+      live rows plus one spare row for the next cut, O(rows·d). *)
 
   val n : t -> int
   (** Number of structural variables. *)

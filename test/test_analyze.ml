@@ -136,6 +136,30 @@ let ana002_annotated_call =
 
 (* [@indq.alloc_ok] accepts exactly its subtree; allocation outside the
    audited expression is still reported. *)
+(* A Bigarray kernel whose array kind and layout stay polymorphic reads
+   through the generic C accessor, which boxes every float; pinning the
+   type makes the same loop a plain unboxed load. *)
+let ana002_polymorphic_dot =
+  {| let dot a b =
+       let acc = ref 0. in
+       for i = 0 to Bigarray.Array1.dim a - 1 do
+         acc := !acc +. (Bigarray.Array1.unsafe_get a i
+                         *. Bigarray.Array1.unsafe_get b i)
+       done;
+       !acc
+     [@@indq.alloc_free "fixture: the kind is a type variable"] |}
+
+let ana002_annotated_dot =
+  {| type t = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+     let dot (a : t) (b : t) =
+       let acc = ref 0. in
+       for i = 0 to Bigarray.Array1.dim a - 1 do
+         acc := !acc +. (Bigarray.Array1.unsafe_get a i
+                         *. Bigarray.Array1.unsafe_get b i)
+       done;
+       !acc
+     [@@indq.alloc_free "fixture: Float64 kind, C layout"] |}
+
 let ana002_alloc_ok_scoped =
   {| let cold_path x =
        if x < 0 then
@@ -214,6 +238,12 @@ let () =
             (check_codes "local accumulator" ~expect:[] ana002_clean_loop);
           Alcotest.test_case "annotated callee" `Quick
             (check_codes "kernel composition" ~expect:[] ana002_annotated_call);
+          Alcotest.test_case "polymorphic bigarray" `Quick
+            (check_codes "generic accessor boxes"
+               ~expect:[ "ANA002"; "ANA002"; "ANA002" ]
+               ana002_polymorphic_dot);
+          Alcotest.test_case "kind-annotated bigarray" `Quick
+            (check_codes "unboxed loads" ~expect:[] ana002_annotated_dot);
           Alcotest.test_case "alloc_ok scoping" `Quick
             (check_codes "alloc outside audited subtree" ~expect:[ "ANA002" ]
                ana002_alloc_ok_scoped);

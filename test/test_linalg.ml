@@ -66,6 +66,38 @@ let test_sub_view_aliasing () =
   Vec.scale_ip 2. w;
   check_vec "in-place kernel through view" [| 0.; 18.; 4.; 6.; 4. |] v
 
+(* Allocation probe: at n = 1024 each hot kernel allocates at most the
+   box of its float result (2 words), and nothing when it returns unit.
+   A kernel compiled over a polymorphic Bigarray kind reads through the
+   generic C accessor instead, which boxes every coordinate — thousands
+   of words per call here. *)
+let test_kernels_allocation_free () =
+  let n = 1024 in
+  let a = Vec.init n (fun i -> float_of_int i /. 7.) in
+  let b = Vec.init n (fun i -> 1. /. float_of_int (i + 1)) in
+  let flat = Vec.init (2 * n) (fun i -> float_of_int (i mod 13)) in
+  let y = Vec.copy b in
+  let words f =
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let check name ~at_most w =
+    if w > at_most then
+      Alcotest.failf "%s allocated %g minor words at n=%d (at most %g)" name
+        w n at_most
+  in
+  check "dot" ~at_most:2.
+    (words (fun () -> ignore (Sys.opaque_identity (Vec.dot a b))));
+  check "dot_slice" ~at_most:2.
+    (words (fun () ->
+         ignore (Sys.opaque_identity (Vec.dot_slice flat ~pos:n a))));
+  check "sum" ~at_most:2.
+    (words (fun () -> ignore (Sys.opaque_identity (Vec.sum a))));
+  check "axpy_ip" ~at_most:0. (words (fun () -> Vec.axpy_ip 1e-9 a y));
+  check "scale_ip" ~at_most:0. (words (fun () -> Vec.scale_ip 1. y))
+
 let test_mat_basic () =
   let m = Mat.of_rows [| vec [| 1.; 2. |]; vec [| 3.; 4. |] |] in
   Alcotest.(check int) "rows" 2 (Mat.rows m);
@@ -177,6 +209,31 @@ let prop_vec_views_alias =
       in
       bit_equal_arrays (Vec.to_array v) expected)
 
+(* The slice kernels compute the same per-coordinate expressions as the
+   whole-vector kernels over [sub_view]s, bit for bit. *)
+let prop_slice_kernels_match_views =
+  QCheck2.Test.make ~count:100 ~name:"slice kernels = view kernels (bit-exact)"
+    QCheck2.Gen.(int_bound 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let len = Rng.int rng 6 in
+      let xpos = Rng.int rng 4 and ypos = 4 + Rng.int rng 4 in
+      let model = random_array rng (ypos + len + Rng.int rng 3) in
+      let c = Rng.in_range rng (-3.) 3. in
+      let by_slice = vec model and by_view = vec model in
+      Vec.axpy_slice c by_slice ~xpos by_slice ~ypos ~len;
+      Vec.axpy_ip c
+        (Vec.sub_view by_view ~pos:xpos ~len)
+        (Vec.sub_view by_view ~pos:ypos ~len);
+      Vec.scale_slice c by_slice ~pos:xpos ~len;
+      Vec.scale_ip c (Vec.sub_view by_view ~pos:xpos ~len);
+      let copied = Vec.make (len + 2) 0. in
+      Vec.blit_slice ~src:by_slice ~src_pos:ypos ~dst:copied ~dst_pos:1 ~len;
+      bit_equal_arrays (Vec.to_array by_slice) (Vec.to_array by_view)
+      && bit_equal_arrays
+           (Array.sub (Vec.to_array copied) 1 len)
+           (Array.sub (Vec.to_array by_view) ypos len))
+
 let prop_mat_row_ops_match_model =
   QCheck2.Test.make ~count:100 ~name:"Mat pivots = float-matrix model (bit-exact)"
     QCheck2.Gen.(int_bound 100000)
@@ -255,6 +312,8 @@ let () =
           Alcotest.test_case "extrema" `Quick test_extrema;
           Alcotest.test_case "approx equal" `Quick test_approx_equal;
           Alcotest.test_case "sub_view aliasing" `Quick test_sub_view_aliasing;
+          Alcotest.test_case "kernels allocation-free" `Quick
+            test_kernels_allocation_free;
         ] );
       ( "mat",
         [
@@ -268,6 +327,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_vec_kernels_match_model;
           QCheck_alcotest.to_alcotest prop_vec_inplace_matches_pure;
+          QCheck_alcotest.to_alcotest prop_slice_kernels_match_views;
           QCheck_alcotest.to_alcotest prop_vec_views_alias;
           QCheck_alcotest.to_alcotest prop_mat_row_ops_match_model;
           QCheck_alcotest.to_alcotest prop_dot_symmetric;

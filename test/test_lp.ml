@@ -401,6 +401,74 @@ let test_live_copy_isolation () =
       Alcotest.(check bool) "fork tighter" true (f.objective < 2.8 -. 1e-9)
     | _ -> Alcotest.fail "both solves are bounded and feasible")
 
+(* Long cut chains on the simplex [sum x = 1, x >= 0] at d = 4..6, each
+   cut through an interior point so the chain stays feasible, with a few
+   [Eq] cuts (two appended rows each).  Forks take one spare row, so a
+   chain crosses row growth in forks over and over. *)
+let chain_cut rng d p ~eq =
+  let coeffs = Vec.init d (fun _ -> Rng.in_range rng (-1.) 1.) in
+  let at_p = Vec.dot coeffs p in
+  if eq then Lp.constr coeffs Lp.Eq at_p
+  else if Rng.bool rng then Lp.constr coeffs Lp.Le (at_p +. Rng.float rng 0.1)
+  else Lp.constr coeffs Lp.Ge (at_p -. Rng.float rng 0.1)
+
+(* Every fork of a 40-plus-cut chain answers as [Lp.solve] from scratch
+   does (same verdict, value within 1e-6), and a fork's [add_cut] leaves
+   its parent's standing basis untouched. *)
+let prop_long_chain_forks =
+  QCheck2.Test.make ~count:20 ~name:"long cut chains: forks match Lp.solve"
+    QCheck2.Gen.(int_bound 100000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let d = 4 + Rng.int rng 3 in
+      let p = Vec.init d (fun _ -> 0.5 +. Rng.uniform rng) in
+      let p = Vec.scale (1. /. Vec.sum p) p in
+      let root = [ Lp.constr (Vec.make d 1.) Lp.Eq 1. ] in
+      let eq_at = [ 7 + Rng.int rng 10; 25 + Rng.int rng 10 ] in
+      let cuts = List.init 44 (fun i -> chain_cut rng d p ~eq:(List.mem i eq_at)) in
+      (* A final cut no point of the simplex meets: both sides must say
+         Infeasible. *)
+      let cuts = cuts @ [ Lp.constr (Vec.basis d 0) Lp.Ge 2. ] in
+      let bits (s : Lp.solution) =
+        Int64.bits_of_float s.objective
+        :: List.map Int64.bits_of_float (Array.to_list (Vec.to_array s.point))
+      in
+      match Lp.Live.create ~n:d root with
+      | `Infeasible | `Failed _ -> false
+      | `Feasible h ->
+        let ok = ref true and live = ref (Some h) and seen = ref root in
+        List.iter
+          (fun cut ->
+            match !live with
+            | None -> ()
+            | Some parent ->
+              let objective = Vec.init d (fun _ -> Rng.in_range rng (-1.) 1.) in
+              let answer h =
+                Lp.Live.optimize (Lp.Live.copy h) ~objective `Maximize
+              in
+              let before = answer parent in
+              let fork = Lp.Live.copy parent in
+              let verdict = Lp.Live.add_cut fork cut in
+              (* The parent is untouched: the same bits as before. *)
+              (match (before, answer parent) with
+              | Lp.Optimal a, Lp.Optimal b -> if bits a <> bits b then ok := false
+              | _ -> ok := false);
+              seen := !seen @ [ cut ];
+              let scratch = Lp.solve ~n:d ~objective `Maximize !seen in
+              match verdict with
+              | `Sat | `Reopt _ -> (
+                match (answer fork, scratch) with
+                | Lp.Optimal a, Lp.Optimal b ->
+                  if Float.abs (a.objective -. b.objective) > 1e-6 then ok := false;
+                  live := Some fork
+                | _ -> ok := false)
+              | `Infeasible ->
+                if scratch <> Lp.Infeasible then ok := false;
+                live := None
+              | `Failed _ -> ok := false)
+          cuts;
+        !ok && !live = None)
+
 let prop_minimize_is_negated_maximize =
   QCheck2.Test.make ~count:60 ~name:"min f = -max(-f)"
     QCheck2.Gen.(int_bound 100000)
@@ -445,5 +513,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_live_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_add_cut_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_live_replay_bit_equal;
+          QCheck_alcotest.to_alcotest prop_long_chain_forks;
         ] );
     ]

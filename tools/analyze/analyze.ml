@@ -39,8 +39,10 @@
            (Stdlib.invalid_arg — the audited caller-bug guard idiom,
            cold by construction), float returns across non-[@inline]
            annotated calls (the result is boxed), float stores into
-           non-float-record mutable fields or captured refs, and float
-           reads out of float records.  Local [let r = ref …] accumulators
+           non-float-record mutable fields or captured refs, float
+           reads out of float records, and [%caml_ba_*] Bigarray
+           primitives applied to an array whose kind or layout is a type
+           variable at the use site (the generic accessor boxes).  Local [let r = ref …] accumulators
            are allowed — the backend unboxes non-escaping refs — but an
            accumulator escaping as an argument to a non-primitive call is
            reported because that defeats the unboxing.
@@ -234,6 +236,30 @@ let is_float_ty ~resolve ty =
 
 let is_arrow_ty ty =
   match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
+
+(* A [%caml_ba_*] primitive compiles to a plain load or store only when
+   its array argument's kind and layout are fixed at the use site.  Left
+   polymorphic (a kernel whose arguments no annotation pins down), it
+   goes through the generic C accessor, which boxes every float it reads.
+   The check reads the primitive's instantiated type: its first argument
+   must contain no type variable. *)
+let bigarray_kind_fixed ty =
+  let rec closed ty =
+    match Types.get_desc ty with
+    | Types.Tvar _ | Types.Tunivar _ -> false
+    | Types.Tconstr (_, args, _) -> List.for_all closed args
+    | Types.Tarrow (_, a, b, _) -> closed a && closed b
+    | Types.Ttuple ts -> List.for_all closed ts
+    | Types.Tpoly (t, _) -> closed t
+    | _ -> false
+  in
+  let rec first_arg ty =
+    match Types.get_desc ty with
+    | Types.Tarrow (_, a, _, _) -> Some a
+    | Types.Tpoly (t, _) -> first_arg t
+    | _ -> None
+  in
+  match first_arg ty with Some a -> closed a | None -> false
 
 let mutable_type_kind head =
   if suffix_is head [ "Stdlib"; "ref" ] || head = [ "ref" ] then Some "ref cell"
@@ -609,6 +635,15 @@ let check_module acc ~file ~(menv : menv) (str : Typedtree.structure) =
              report
                "ref allocation: bind it as a local `let r = ref …` \
                 accumulator (unboxed) or lift it out of the hot path"
+           | name
+             when String.starts_with ~prefix:"%caml_ba_" name
+                  && not (bigarray_kind_fixed fn.exp_type) ->
+             report
+               (Printf.sprintf
+                  "%s on a Bigarray whose kind or layout is not fixed here \
+                   compiles to the generic accessor, which boxes; annotate \
+                   the array's type"
+                  name)
            | "%revapply" | "%apply" ->
              report
                "|> / @@ obscure the callee from the allocation checker; \
